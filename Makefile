@@ -82,41 +82,37 @@ endif
 # smoke (closed/open-loop load harness against a live server), plus
 # the kill -9 crash-recovery run of the real xgftserve binary, and a
 # quick-scale smoke run that must produce a manifest.json with the
-# required keys. The Alloc line also covers the block-prefetch
-# steady-state pin (prefetch admission adds no allocations to
-# AccumulateSegments); the tail runs race-instrumented mega smokes for
-# the prefetch pipeline (nonzero segments_prefetched, no stall wedge —
-# the run completing is the wedge check) and the delta-segment cache
-# (nonzero bytes saved).
+# required keys. The Alloc line also covers the table-free block path
+# (derived AccumulateSegments and core.RowDeriver allocate nothing in
+# steady state). The tail runs the mega smoke twice against one segment
+# cache — its random-K column is the one that builds tables, so the
+# warm run must record cache hits, and the closed-form columns must
+# report derived rows — then vets and short-tests the benchmark module,
+# which tier-1 `go test ./...` does not reach. Smoke output goes to a
+# temporary directory that is removed on exit.
 ci: vet
 	$(GO) test -short -race ./...
 	$(GO) test -race -run 'Repair|Wedge|Drain|Degraded|Failure' ./internal/core ./internal/flit ./internal/flow ./internal/lid
 	$(GO) test -race -count=1 ./internal/serve/...
 	$(GO) test -race -count=1 -run 'TestServeBenchSmoke' ./internal/loadgen
 	$(GO) test -count=1 -run 'TestKillDashNineRecovery' ./cmd/xgftserve
-	$(GO) test -run 'Alloc' -count=1 ./internal/obs ./internal/flit ./internal/flow ./internal/serve ./internal/stats
+	$(GO) test -run 'Alloc' -count=1 ./internal/obs ./internal/core ./internal/flit ./internal/flow ./internal/serve ./internal/stats
 	$(GO) test -race -count=1 -run 'AdaptiveK' ./internal/flit ./internal/experiments
 	$(GO) test -run 'PrefixNesting|MultiK|SampleAdaptiveVec' -count=1 ./internal/core ./internal/flow ./internal/stats
-	rm -rf ci-smoke && $(GO) run ./cmd/xgftpaper -exp failures -scale quick -out ci-smoke
-	@for key in tool go_version flags seed workers experiments wall_seconds metrics exit_status; do \
-		grep -q "\"$$key\"" ci-smoke/manifest.json || { echo "ci: manifest.json missing \"$$key\""; exit 1; }; \
-	done
-	@echo ci: manifest.json ok
-	rm -rf ci-mega ci-mega-cache
-	$(GO) run ./cmd/xgftpaper -exp mega -scale quick -table-cache ci-mega-cache -out ci-mega
-	$(GO) run ./cmd/xgftpaper -exp mega -scale quick -table-cache ci-mega-cache -out ci-mega
-	@grep -Eq '"core.segments_cache_hit": [1-9]' ci-mega/manifest.json \
-		|| { echo "ci: warm mega run recorded zero segment cache hits"; exit 1; }
-	@echo ci: mega segment cache ok
-	rm -rf ci-prefetch ci-delta ci-delta-cache
-	$(GO) run -race ./cmd/xgftpaper -exp mega -scale quick -prefetch 4 -out ci-prefetch
-	@grep -Eq '"core.segments_prefetched": [1-9]' ci-prefetch/manifest.json \
-		|| { echo "ci: prefetch smoke run served zero segments from the pipeline"; exit 1; }
-	@echo ci: prefetch pipeline ok
-	$(GO) run ./cmd/xgftpaper -exp mega -scale quick -segment-delta -table-cache ci-delta-cache -out ci-delta
-	@grep -Eq '"core.segment_delta_bytes_saved": [1-9]' ci-delta/manifest.json \
-		|| { echo "ci: delta mega run saved zero segment-cache bytes"; exit 1; }
-	@echo ci: delta segments ok
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/xgftpaper -exp failures -scale quick -out $$tmp/smoke; \
+	for key in tool go_version flags seed workers experiments wall_seconds metrics exit_status; do \
+		grep -q "\"$$key\"" $$tmp/smoke/manifest.json || { echo "ci: manifest.json missing \"$$key\""; exit 1; }; \
+	done; \
+	echo ci: manifest.json ok; \
+	$(GO) run -race ./cmd/xgftpaper -exp mega -scale quick -table-cache $$tmp/mega-cache -out $$tmp/mega; \
+	$(GO) run ./cmd/xgftpaper -exp mega -scale quick -table-cache $$tmp/mega-cache -out $$tmp/mega; \
+	grep -Eq '"core.segments_cache_hit": [1-9]' $$tmp/mega/manifest.json \
+		|| { echo "ci: warm mega run recorded zero segment cache hits"; exit 1; }; \
+	grep -Eq '"flow.block_rows_derived": [1-9]' $$tmp/mega/manifest.json \
+		|| { echo "ci: mega run derived zero rows: closed-form schemes built tables"; exit 1; }; \
+	echo ci: mega segment cache and table-free path ok
+	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test -short ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -20
@@ -132,4 +128,3 @@ repro-full:
 clean:
 	rm -f cover.out test_output.txt bench_output.txt bench_flit_output.txt bench_serve_output.txt
 	rm -f BENCH_flow.json.tmp BENCH_flit.json.tmp BENCH_serve.json.tmp
-	rm -rf ci-smoke ci-mega ci-mega-cache ci-prefetch ci-delta ci-delta-cache

@@ -467,10 +467,14 @@ func megaSegmentTM(t *topology.Topology, bl *core.BlockCompiledRouting) *traffic
 	return tm
 }
 
-// BenchmarkBlockCompiledLoads compares evaluating the same mega-fabric
-// demand from a warm block-compiled segment versus lazily re-deriving
-// each pair's paths — the per-sample cost gap that makes out-of-core
-// sweeps affordable at 34560 endpoints.
+// BenchmarkBlockCompiledLoads compares block-mode evaluation of the
+// same mega-fabric demand against lazily re-deriving each pair's paths
+// at 34560 endpoints. The two block rows measure different things:
+// random/block walks a warm, pooled segment (generic selectors keep
+// their tables), while disjoint/block builds no table and measures
+// per-flow row derivation (core.RowDeriver) plus the same adds — the
+// closed-form, table-free path. Their ratio is the derive-vs-warm-walk
+// number DESIGN.md §10 records.
 func BenchmarkBlockCompiledLoads(b *testing.B) {
 	t := megaTopo()
 	for _, tc := range []struct {
@@ -487,8 +491,9 @@ func BenchmarkBlockCompiledLoads(b *testing.B) {
 			ev := flow.NewBlockEvaluator(bl, []int{4})
 			out := [][]float64{make([]float64, 1)}
 			tms := []*traffic.Matrix{tm}
-			// Warm once: segment 0 compiles and stays pooled, so
-			// iterations measure evaluation, not the one-shot build.
+			// Warm once: random-K's segment 0 compiles and stays pooled
+			// (disjoint has nothing to build), and the evaluator's rows
+			// are sized, so iterations measure evaluation alone.
 			if err := ev.MaxLoadsBatch(tms, out); err != nil {
 				b.Fatal(err)
 			}
@@ -514,9 +519,10 @@ func BenchmarkBlockCompiledLoads(b *testing.B) {
 
 // BenchmarkMegaFabricSweep runs the Fig4-style mega-fabric sweep end
 // to end in block mode: 34560 endpoints, two permutation samples, two
-// K columns, every segment streamed through a bounded pool. This is
-// the acceptance artifact: the same sweep is impossible as one
-// compiled table under the default budget.
+// K columns, disjoint. The same sweep is impossible as one compiled
+// table under the default budget; since disjoint is closed-form it
+// runs table-free, so the cost is the 2 x 34560 rows it derives, not
+// the 1.2 G rows a table would hold.
 func BenchmarkMegaFabricSweep(b *testing.B) {
 	cfg := experiments.MegaConfig{
 		Topo:     megaTopo(),
@@ -532,8 +538,9 @@ func BenchmarkMegaFabricSweep(b *testing.B) {
 		}
 		b.ReportMetric(lastColumnMean(tbl), "maxload@Kmax")
 	}
-	// Peak resident segment bytes across the run, against the >100 GiB
-	// full-table estimate — the out-of-core evidence.
+	// Peak resident segment bytes of the process: whatever earlier
+	// benchmarks of the same invocation pooled, 0 when run alone — the
+	// sweep itself holds no segment.
 	peak := obs.Default().Gauge("core.segment_live_bytes_peak").Value()
 	b.ReportMetric(float64(peak), "segpeak_bytes")
 }

@@ -33,7 +33,6 @@ func main() {
 	draw := flag.Bool("draw", false, "render the topology level by level (paper Figures 1-3 style)")
 	budget := flag.Int64("table-budget", core.DefaultTableBudget, "resident routing-table byte budget for the regime prediction")
 	segBytes := flag.Int64("segment-bytes", 0, "block-mode segment size for the regime prediction (0: default)")
-	deltaBase := flag.String("delta-base", "", "base scheme to predict delta-segment cache savings against (empty: none)")
 	flag.Parse()
 
 	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
@@ -43,11 +42,6 @@ func main() {
 	summarize(t)
 	if err := tableRegime(t, *scheme, *k, *seed, *budget, *segBytes); err != nil {
 		fatal(err)
-	}
-	if *deltaBase != "" {
-		if err := deltaPrediction(t, *deltaBase, *scheme, *k, *seed); err != nil {
-			fatal(err)
-		}
 	}
 	if *draw {
 		fmt.Println()
@@ -82,8 +76,10 @@ func summarize(t *topology.Topology) {
 
 // tableRegime predicts how flow experiments will evaluate this
 // (topology, scheme, K): a fully compiled table when the estimate fits
-// the budget, the out-of-core block mode otherwise, with the lazy
-// fallback flow's Auto mode takes on fabrics past its sample cap.
+// the budget, the out-of-core block mode otherwise — streamed segments
+// for generic selectors, no table at all for closed-form ones — with
+// the lazy fallback flow's Auto mode takes on fabrics past its sample
+// cap.
 func tableRegime(t *topology.Topology, scheme string, k int, seed, budget, segBytes int64) error {
 	sel, err := core.SelectorByName(scheme)
 	if err != nil {
@@ -94,6 +90,8 @@ func tableRegime(t *topology.Topology, scheme string, k int, seed, budget, segBy
 	fmt.Printf("  compiled routing table (%s, K=%d): %s estimated\n", sel.Name(), k, byteSize(est))
 	if est <= budget {
 		fmt.Printf("  fits table budget %s: full-compile regime\n", byteSize(budget))
+	} else if core.ClosedForm(sel) {
+		fmt.Printf("  exceeds table budget %s: table-free (closed-form selector): no table is built in block mode\n", byteSize(budget))
 	} else {
 		blockSrcs, numSegments, seg := core.PlanBlocks(r, segBytes)
 		fmt.Printf("  exceeds table budget %s: block regime (%d segments x %s, %d sources each)\n",
@@ -103,38 +101,6 @@ func tableRegime(t *topology.Topology, scheme string, k int, seed, budget, segBy
 		fmt.Printf("  note: flow auto mode falls back to lazy evaluation here (%d nodes > 12800-sample cap); request block mode explicitly\n",
 			t.NumProcessors())
 	}
-	return nil
-}
-
-// deltaPrediction prints what delta-encoding the -scheme table against
-// -delta-base would save in segment-cache bytes (core.DeltaSavings) —
-// the number to check before turning on -segment-delta for a sweep.
-func deltaPrediction(t *topology.Topology, baseName, varName string, k int, seed int64) error {
-	baseSel, err := core.SelectorByName(baseName)
-	if err != nil {
-		return err
-	}
-	varSel, err := core.SelectorByName(varName)
-	if err != nil {
-		return err
-	}
-	base := core.NewRouting(t, baseSel, k, seed)
-	variant := core.NewRouting(t, varSel, k, seed)
-	full, delta, ok := core.DeltaSavings(base, variant)
-	if !ok {
-		fmt.Printf("  delta vs %s: incompatible (topology or per-level path counts differ); variants cache full-fat\n", baseSel.Name())
-		return nil
-	}
-	shared, _ := core.DeltaSharedLevels(base, variant)
-	var levels []string
-	for lvl := 1; lvl < len(shared); lvl++ {
-		if shared[lvl] {
-			levels = append(levels, fmt.Sprintf("%d", lvl))
-		}
-	}
-	fmt.Printf("  delta vs %s: shared NCA levels {%s}; cache record %s instead of %s (%.1f%% saved)\n",
-		baseSel.Name(), strings.Join(levels, ","), byteSize(delta), byteSize(full),
-		100*(1-float64(delta)/float64(full)))
 	return nil
 }
 

@@ -21,29 +21,27 @@ import (
 // between runs, the manifests say what ran. Written as manifest.json
 // next to the run's CSVs.
 type Manifest struct {
-	Tool        string             `json:"tool"`
-	Version     string             `json:"version,omitempty"`
-	GoVersion   string             `json:"go_version"`
-	Started     time.Time          `json:"started"`
-	Finished    time.Time          `json:"finished"`
-	WallSeconds float64            `json:"wall_seconds"`
-	Args        []string           `json:"args"`
-	Flags       map[string]string  `json:"flags,omitempty"`
-	Scale       string             `json:"scale,omitempty"`
-	Seed        int64              `json:"seed"`
-	Workers     int                `json:"workers"`
+	Tool        string            `json:"tool"`
+	Version     string            `json:"version,omitempty"`
+	GoVersion   string            `json:"go_version"`
+	Started     time.Time         `json:"started"`
+	Finished    time.Time         `json:"finished"`
+	WallSeconds float64           `json:"wall_seconds"`
+	Args        []string          `json:"args"`
+	Flags       map[string]string `json:"flags,omitempty"`
+	Scale       string            `json:"scale,omitempty"`
+	Seed        int64             `json:"seed"`
+	Workers     int               `json:"workers"`
 	// Routing-table policy of the run (see TableFlags): where segments
 	// were cached, the resident byte budget, and the block-mode segment
 	// size. Zero values mean the tool ran with defaults / no cache.
-	TableCache         string `json:"table_cache,omitempty"`
-	TableCacheMaxBytes int64  `json:"table_cache_max_bytes,omitempty"`
-	TableBudget        int64  `json:"table_budget,omitempty"`
-	SegmentBytes       int64  `json:"segment_bytes,omitempty"`
-	Prefetch           int    `json:"prefetch,omitempty"`
-	SegmentDelta       bool   `json:"segment_delta,omitempty"`
-	Experiments []ExperimentRecord `json:"experiments,omitempty"`
-	Results     map[string]any     `json:"results,omitempty"`
-	Metrics     obs.Snapshot       `json:"metrics,omitempty"`
+	TableCache         string             `json:"table_cache,omitempty"`
+	TableCacheMaxBytes int64              `json:"table_cache_max_bytes,omitempty"`
+	TableBudget        int64              `json:"table_budget,omitempty"`
+	SegmentBytes       int64              `json:"segment_bytes,omitempty"`
+	Experiments        []ExperimentRecord `json:"experiments,omitempty"`
+	Results            map[string]any     `json:"results,omitempty"`
+	Metrics            obs.Snapshot       `json:"metrics,omitempty"`
 	// ExitCode is the process exit code; ExitStatus names the outcome:
 	// "ok", "error", or "interrupted" (the run was cancelled by
 	// SIGINT/SIGTERM but still sealed its manifest on the way out).

@@ -16,21 +16,17 @@ type TableFlags struct {
 	CacheMaxBytes int64
 	Budget        int64
 	SegmentBytes  int64
-	Prefetch      int
-	SegmentDelta  bool
 }
 
 // AddTableFlags registers -table-cache, -table-cache-max-bytes,
-// -table-budget, -segment-bytes, -prefetch and -segment-delta on fs
-// and returns the destination struct.
+// -table-budget and -segment-bytes on fs and returns the destination
+// struct.
 func AddTableFlags(fs *flag.FlagSet) *TableFlags {
 	tf := &TableFlags{}
 	fs.StringVar(&tf.CacheDir, "table-cache", "", "directory caching compiled routing segments across runs (empty: no cache)")
 	fs.Int64Var(&tf.CacheMaxBytes, "table-cache-max-bytes", 0, "cap on segment-cache disk bytes, oldest records evicted on write (0: unbounded)")
 	fs.Int64Var(&tf.Budget, "table-budget", core.DefaultTableBudget, "resident routing-table byte budget (full compile must fit it; block mode pools segments under it)")
 	fs.Int64Var(&tf.SegmentBytes, "segment-bytes", 0, "compiled bytes per source-block segment in block mode (0: experiment default)")
-	fs.IntVar(&tf.Prefetch, "prefetch", 0, "segments compiled ahead of the evaluator by the async worker pool (0: synchronous)")
-	fs.BoolVar(&tf.SegmentDelta, "segment-delta", false, "delta-encode compatible schemes' segments against the sweep's base scheme, in memory and in the cache")
 	return tf
 }
 
@@ -41,8 +37,6 @@ func (tf *TableFlags) Options() experiments.TableOptions {
 		CacheMaxBytes: tf.CacheMaxBytes,
 		Budget:        tf.Budget,
 		SegmentBytes:  tf.SegmentBytes,
-		Prefetch:      tf.Prefetch,
-		SegmentDelta:  tf.SegmentDelta,
 	}
 }
 
@@ -66,6 +60,4 @@ func (tf *TableFlags) Stamp(m *Manifest) {
 	m.TableCacheMaxBytes = tf.CacheMaxBytes
 	m.TableBudget = tf.Budget
 	m.SegmentBytes = tf.SegmentBytes
-	m.Prefetch = tf.Prefetch
-	m.SegmentDelta = tf.SegmentDelta
 }

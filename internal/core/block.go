@@ -39,22 +39,6 @@ type BlockOptions struct {
 	// what makes repeated sweeps over the same fabric skip compilation
 	// entirely.
 	Cache *SegmentCache
-	// Prefetch enables the async compile pipeline: when > 0, Prefetch(g)
-	// hands segment materialization to a bounded worker pool (at most
-	// Prefetch workers, capped at maxPrefetchWorkers) so compile overlaps
-	// the caller's evaluation. 0 makes Prefetch a no-op. Admission is
-	// budget-aware: a prefetch whose estimated bytes would push pooled +
-	// in-flight segments past ResidentBytes is dropped (counted by
-	// core.prefetch_stalls) rather than queued, so prefetching never
-	// inflates peak memory beyond the resident budget.
-	Prefetch int
-	// DeltaBase, when non-nil, compiles this table's segments as deltas
-	// against the base table's same-index segments: pairs whose rows
-	// match the base are shared, only changed rows are stored and
-	// patched in (see SegmentDelta). The base must cover the same
-	// topology and source blocking; NewBlockCompiledRouting panics
-	// otherwise. Cached records use the delta format (xgftsegd-v1).
-	DeltaBase *BlockCompiledRouting
 }
 
 // BlockCompiledRouting is a CompiledRouting that never materializes
@@ -82,7 +66,6 @@ type BlockCompiledRouting struct {
 
 	blockSrcs   int
 	numSegments int
-	perSrcBytes int64
 	opts        BlockOptions
 	key         string
 
@@ -91,18 +74,6 @@ type BlockCompiledRouting struct {
 	poolBytes int64
 	liveBytes int64 // pooled + checked-out segment bytes
 	closed    bool
-
-	// Async prefetch state (see prefetch.go). inflightBytes counts the
-	// estimated footprint of admitted-but-unfinished prefetches, charged
-	// against ResidentBytes alongside poolBytes.
-	inflight      map[int]*prefetchEntry
-	inflightBytes int64
-	prefStarted   bool
-	prefCh        chan int
-	prefStop      chan struct{}
-	prefWG        sync.WaitGroup
-
-	delta *deltaPlan // non-nil when opts.DeltaBase is set
 }
 
 // RoutingSegment is one compiled source block: the CSR rows of every
@@ -178,13 +149,11 @@ func NewBlockCompiledRouting(r *Routing, opts BlockOptions) *BlockCompiledRoutin
 	}
 	t := r.Topology()
 	b := &BlockCompiledRouting{
-		r:           r,
-		topo:        t,
-		n:           t.NumProcessors(),
-		perSrcBytes: perSourceBytes(r),
-		opts:        opts,
-		pool:        make(map[int]*RoutingSegment),
-		inflight:    make(map[int]*prefetchEntry),
+		r:    r,
+		topo: t,
+		n:    t.NumProcessors(),
+		opts: opts,
+		pool: make(map[int]*RoutingSegment),
 	}
 	b.blockSrcs, b.numSegments, _ = PlanBlocks(r, opts.SegmentBytes)
 	// The cache key pins everything a segment's contents depend on:
@@ -193,9 +162,6 @@ func NewBlockCompiledRouting(r *Routing, opts BlockOptions) *BlockCompiledRoutin
 	// leading version tag invalidates all files on layout changes.
 	b.key = fmt.Sprintf("xgftseg-v1|%s|%s|K=%d|seed=%d|block=%d",
 		t, r.Selector().Name(), r.K(), r.Seed(), b.blockSrcs)
-	if opts.DeltaBase != nil {
-		b.delta = newDeltaPlan(opts.DeltaBase, b)
-	}
 	return b
 }
 
@@ -228,51 +194,28 @@ func (b *BlockCompiledRouting) SegmentSpan(g int) (lo, hi int) {
 // SegmentFor returns the index of the segment holding source src.
 func (b *BlockCompiledRouting) SegmentFor(src int) int { return src / b.blockSrcs }
 
-// PrefetchDepth reports how many segments ahead of its walk an
-// evaluator should issue Prefetch calls — the configured pipeline
-// depth, 0 when prefetching is disabled.
-func (b *BlockCompiledRouting) PrefetchDepth() int {
-	if b.opts.Prefetch <= 0 {
-		return 0
-	}
-	return b.opts.Prefetch
-}
-
 // TotalBytesEstimate is the closed-form footprint the full table would
 // need — CompiledBytes of the underlying routing.
 func (b *BlockCompiledRouting) TotalBytesEstimate() int64 { return CompiledBytes(b.r) }
 
 // Segment fetches segment g: from the resident pool if a released copy
-// is still held, by claiming an in-flight prefetch's result, else from
-// the on-disk cache (memory-mapped when the platform supports it), else
-// by compiling the block. Ownership transfers to the caller until
-// Release.
+// is still held, else from the on-disk cache (memory-mapped when the
+// platform supports it), else by compiling the block. Ownership
+// transfers to the caller until Release.
 func (b *BlockCompiledRouting) Segment(g int) (*RoutingSegment, error) {
 	lo, hi := b.SegmentSpan(g)
-	for {
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			return nil, fmt.Errorf("core: BlockCompiledRouting is closed")
-		}
-		if s, ok := b.pool[g]; ok {
-			delete(b.pool, g)
-			b.poolBytes -= s.bytes
-			b.mu.Unlock()
-			return s, nil
-		}
-		e := b.inflight[g]
+	b.mu.Lock()
+	if b.closed {
 		b.mu.Unlock()
-		if e == nil {
-			break
-		}
-		// A prefetch worker is materializing this segment; wait for it.
-		// Successful deposits land in the pool before done closes, so
-		// the next loop pass claims them; a failed prefetch leaves
-		// neither pool entry nor inflight entry and the loop falls
-		// through to the synchronous path (which surfaces the error).
-		<-e.done
+		return nil, fmt.Errorf("core: BlockCompiledRouting is closed")
 	}
+	if s, ok := b.pool[g]; ok {
+		delete(b.pool, g)
+		b.poolBytes -= s.bytes
+		b.mu.Unlock()
+		return s, nil
+	}
+	b.mu.Unlock()
 	s, err := b.materialize(g, lo, hi)
 	if err != nil {
 		return nil, err
@@ -281,11 +224,10 @@ func (b *BlockCompiledRouting) Segment(g int) (*RoutingSegment, error) {
 	return s, nil
 }
 
-// materialize produces segment g by cache load or compile — the shared
-// miss path of Segment and the prefetch workers.
+// materialize produces segment g by cache load or compile.
 func (b *BlockCompiledRouting) materialize(g, lo, hi int) (*RoutingSegment, error) {
 	if b.opts.Cache != nil {
-		if s, ok := b.loadCached(g, lo, hi); ok {
+		if s, ok := b.opts.Cache.load(b.key, g, lo, hi, b.n); ok {
 			met.segmentsCacheHit.Inc()
 			return s, nil
 		}
@@ -296,31 +238,13 @@ func (b *BlockCompiledRouting) materialize(g, lo, hi int) (*RoutingSegment, erro
 		return nil, err
 	}
 	if b.opts.Cache != nil {
-		if err := b.storeCached(g, s); err == nil {
+		if err := b.opts.Cache.store(b.key, g, s); err == nil {
 			met.segmentsCacheWrite.Inc()
 		}
 		// A failed store (full disk, unwritable dir) only loses the
 		// cache benefit; the compiled segment is still good.
 	}
 	return s, nil
-}
-
-// loadCached fetches segment g from the on-disk cache: the delta record
-// (patched onto the base) when this table compiles against a DeltaBase,
-// the full record otherwise.
-func (b *BlockCompiledRouting) loadCached(g, lo, hi int) (*RoutingSegment, bool) {
-	if b.delta != nil {
-		return b.loadDeltaCached(g, lo, hi)
-	}
-	return b.opts.Cache.load(b.key, g, lo, hi, b.n)
-}
-
-// storeCached persists segment g — delta-encoded for delta tables.
-func (b *BlockCompiledRouting) storeCached(g int, s *RoutingSegment) error {
-	if b.delta != nil {
-		return b.storeDeltaCached(g, s)
-	}
-	return b.opts.Cache.store(b.key, g, s)
 }
 
 // Release returns a segment fetched with Segment. Heap-backed segments
@@ -343,10 +267,9 @@ func (b *BlockCompiledRouting) Release(s *RoutingSegment) {
 	s.drop()
 }
 
-// Close stops the prefetch workers, evicts the resident pool
-// (unmapping any cached mmaps) and rejects further Segment calls.
-// Segments still checked out remain valid; releasing them after Close
-// drops them.
+// Close evicts the resident pool (unmapping any cached mmaps) and
+// rejects further Segment calls. Segments still checked out remain
+// valid; releasing them after Close drops them.
 func (b *BlockCompiledRouting) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -354,21 +277,6 @@ func (b *BlockCompiledRouting) Close() {
 		return
 	}
 	b.closed = true
-	started := b.prefStarted
-	b.mu.Unlock()
-	if started {
-		close(b.prefStop)
-		b.prefWG.Wait()
-	}
-	b.mu.Lock()
-	// Wake any Segment call still waiting on a prefetch that will never
-	// finish (enqueued but unclaimed when the workers exited); the
-	// waiter re-checks and sees closed.
-	for g, e := range b.inflight {
-		delete(b.inflight, g)
-		close(e.done)
-	}
-	b.inflightBytes = 0
 	pool := b.pool
 	b.pool = map[int]*RoutingSegment{}
 	for _, s := range pool {
@@ -406,26 +314,12 @@ func (b *BlockCompiledRouting) ResidentBytes() int64 {
 // per-pair NCALevel/Select/AppendPathSetLinks loop is replaced by a
 // constant-NCA-interval walk with closed-form index generation for the
 // built-in deterministic selectors and separable link expansion. One
-// goroutine per segment: block-mode parallelism comes from walkers (or
-// prefetch workers) compiling disjoint segments, not from splitting
-// one segment.
+// goroutine per segment: block-mode parallelism comes from walkers
+// compiling disjoint segments, not from splitting one segment.
 func (b *BlockCompiledRouting) compileSegment(g, lo, hi int) (*RoutingSegment, error) {
-	if b.delta != nil {
-		return b.compileSegmentDelta(g, lo, hi)
-	}
-	s, _, err := b.fillSegment(g, lo, hi, nil, nil)
-	return s, err
-}
-
-// fillSegment allocates and fills one segment; baseSeg/shared, when
-// non-nil, enable the delta fast path (shared levels copy from the
-// base). The returned filler carries fill statistics for the caller's
-// metrics.
-func (b *BlockCompiledRouting) fillSegment(g, lo, hi int, baseSeg *RoutingSegment, shared []bool) (*RoutingSegment, *segFiller, error) {
 	start := time.Now()
 	rows := (hi - lo) * b.n
 	f := newSegFiller(b.r)
-	f.base, f.shared = baseSeg, shared
 	perPaths, perLinks := f.perSourceCounts()
 	s := &RoutingSegment{
 		index:   g,
@@ -438,12 +332,12 @@ func (b *BlockCompiledRouting) fillSegment(g, lo, hi int, baseSeg *RoutingSegmen
 		links:   make([]int32, int64(hi-lo)*perLinks),
 	}
 	if err := f.fill(s, lo, hi); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.bytes = s.Bytes()
 	met.segmentsCompiled.Inc()
 	met.segmentCompileNanos.Add(time.Since(start).Nanoseconds())
-	return s, f, nil
+	return s, nil
 }
 
 // Index returns the segment's position in the block sequence.

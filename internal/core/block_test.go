@@ -252,6 +252,123 @@ func TestSegmentCacheRejectsCorruptFiles(t *testing.T) {
 	}
 }
 
+// TestSegmentCacheEviction pins the size cap: writes beyond MaxBytes
+// evict oldest records first, and a segment mapped before its record
+// was evicted stays fully readable (the unlink only removes the name).
+func TestSegmentCacheEviction(t *testing.T) {
+	topo := blockTestTopo(t)
+	dir := t.TempDir()
+	cache, err := OpenSegmentCache(dir)
+	if err != nil {
+		t.Fatalf("OpenSegmentCache: %v", err)
+	}
+	r := NewRouting(topo, Disjoint{}, 4, 0)
+	seed := NewBlockCompiledRouting(r, BlockOptions{SegmentBytes: 128 << 10, Cache: cache})
+	segBytes := int64(0)
+	for g := 0; g < seed.NumSegments(); g++ {
+		seg, err := seed.Segment(g)
+		if err != nil {
+			t.Fatalf("Segment(%d): %v", g, err)
+		}
+		if segBytes == 0 {
+			segBytes = seg.Bytes()
+		}
+		seed.Release(seg)
+	}
+	numSegs := seed.NumSegments()
+	seed.Close()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(files) != numSegs {
+		t.Fatalf("%d cache files for %d segments", len(files), numSegs)
+	}
+
+	// Map segment 0 from the cache, then cap the cache so the next write
+	// evicts everything old — including segment 0's record.
+	warm := NewBlockCompiledRouting(r, BlockOptions{SegmentBytes: 128 << 10, Cache: cache})
+	defer warm.Close()
+	held, err := warm.Segment(0)
+	if err != nil {
+		t.Fatalf("warm Segment(0): %v", err)
+	}
+	wantLinks := append([]int32(nil), held.links...)
+
+	cache.SetMaxBytes(2 * segBytes)
+	other := NewBlockCompiledRouting(NewRouting(topo, Disjoint{}, 4, 1), BlockOptions{SegmentBytes: 128 << 10, Cache: cache})
+	if seg, err := other.Segment(0); err != nil {
+		t.Fatalf("other Segment(0): %v", err)
+	} else {
+		other.Release(seg)
+	}
+	other.Close()
+
+	var total int64
+	left, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	for _, f := range left {
+		st, err := os.Stat(f)
+		if err == nil {
+			total += st.Size()
+		}
+	}
+	if len(left) >= numSegs+1 {
+		t.Fatalf("no records evicted: %d files remain", len(left))
+	}
+	if total > 2*segBytes+4096 {
+		t.Fatalf("cache holds %d bytes after eviction, cap %d", total, 2*segBytes)
+	}
+	// The held (possibly mmap-backed) segment survived its record's
+	// eviction: the data reads back intact.
+	if !equalInt32(held.links, wantLinks) {
+		t.Fatalf("held segment changed after its cache record was evicted")
+	}
+	warm.Release(held)
+}
+
+// TestSegmentCacheHeapFallback runs the cache round trip through the
+// non-mmap path (mmap_other.go's behavior) regardless of platform.
+func TestSegmentCacheHeapFallback(t *testing.T) {
+	forceHeapSegments.Store(true)
+	defer forceHeapSegments.Store(false)
+	topo := blockTestTopo(t)
+	dir := t.TempDir()
+	cache, err := OpenSegmentCache(dir)
+	if err != nil {
+		t.Fatalf("OpenSegmentCache: %v", err)
+	}
+	r := NewRouting(topo, Disjoint{}, 4, 0)
+	opts := BlockOptions{SegmentBytes: 128 << 10, Cache: cache}
+	cold := NewBlockCompiledRouting(r, opts)
+	want := make([][]int32, cold.NumSegments())
+	for g := 0; g < cold.NumSegments(); g++ {
+		seg, err := cold.Segment(g)
+		if err != nil {
+			t.Fatalf("cold Segment(%d): %v", g, err)
+		}
+		want[g] = append([]int32(nil), seg.links...)
+		cold.Release(seg)
+	}
+	cold.Close()
+
+	hit0 := met.segmentsCacheHit.Value()
+	warm := NewBlockCompiledRouting(r, opts)
+	defer warm.Close()
+	for g := 0; g < warm.NumSegments(); g++ {
+		seg, err := warm.Segment(g)
+		if err != nil {
+			t.Fatalf("warm Segment(%d): %v", g, err)
+		}
+		if seg.Mapped() {
+			t.Fatalf("heap fallback produced a mapped segment")
+		}
+		if !equalInt32(seg.links, want[g]) {
+			t.Fatalf("heap-loaded segment %d differs from compile", g)
+		}
+		warm.Release(seg)
+	}
+	if met.segmentsCacheHit.Value()-hit0 != int64(warm.NumSegments()) {
+		t.Fatalf("heap fallback missed the cache")
+	}
+}
+
 // TestPlanBlocksCoversAllSources checks the segment plan partitions
 // [0, n) exactly for a spread of segment sizes.
 func TestPlanBlocksCoversAllSources(t *testing.T) {

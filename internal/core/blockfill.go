@@ -21,9 +21,10 @@ import (
 //     of every canonical path is derived once per source instead of
 //     once per pair.
 //
-// The filler below applies both. Path indices come from closed-form
-// per-scheme generators for the built-in deterministic selectors
-// (identical formulas to their Select methods) and from
+// The filler below applies both. Path indices come from the closed-form
+// per-scheme generator (idxGen, which RowDeriver shares) for the
+// built-in deterministic selectors — identical formulas to their
+// Select methods — and from
 // Routing.AppendPathsScratch for randomized or custom selectors, so
 // every emitted row is bit-identical to the generic loop —
 // TestBlockCompiledMatchesCompiled diffs the result against
@@ -42,78 +43,163 @@ const (
 	fastUMulti
 )
 
-// segFiller holds the reusable state of one segment fill: radix tables,
-// per-level path-count and offset tables, the link expander and the
-// generic-selector scratch. One filler per compileSegment call; fills
-// are single-goroutine (block parallelism is across segments).
-type segFiller struct {
-	r    *Routing
-	topo *topology.Topology
-	exp  *topology.LinkExpander
-	h    int
-	n    int
+// fastKindOf maps a selector to its closed-form generator tag.
+func fastKindOf(sel Selector) fastScheme {
+	switch sel.(type) {
+	case DModK:
+		return fastDModK
+	case SModK:
+		return fastSModK
+	case Shift1:
+		return fastShift1
+	case Disjoint:
+		return fastDisjoint
+	case UMulti:
+		return fastUMulti
+	default:
+		return fastGeneric
+	}
+}
+
+// ClosedForm reports whether sel is one of the built-in deterministic
+// selectors (d-mod-k, s-mod-k, shift-1, disjoint, UMULTI): its path
+// indices are arithmetic in the pair's digits and ignore the routing's
+// seed, so block-mode evaluation derives rows on demand (RowDeriver)
+// instead of compiling tables, and seed sweeps collapse to one seed.
+func ClosedForm(sel Selector) bool { return fastKindOf(sel) != fastGeneric }
+
+// idxGen is the closed-form path-index generator of one routing: radix
+// tables, per-level path counts and the per-scheme offset tables. The
+// segment fill and the RowDeriver both draw their indices from it, so
+// the two can never disagree on a formula.
+type idxGen struct {
+	scheme fastScheme
+	h      int
 
 	w     [maxDigits]int
 	wprod [maxDigits]int
-	psub  [maxDigits]int // processors per level-k subtree
 	np    [maxDigits]int // paths per pair at NCA level k
+	maxNP int
 
-	scheme fastScheme
-	offs   [maxDigits][]int32 // disjoint enumeration offsets per level
-	iota   []int32            // 0..x-1 for UMULTI
-	smod   [maxDigits]int     // s-mod-k index per level (current source)
+	offs [maxDigits][]int32 // disjoint enumeration offsets per level
+	iota []int32            // 0..x-1 for UMULTI
+	smod [maxDigits]int     // s-mod-k index per level (current source)
+}
+
+func newIdxGen(r *Routing) idxGen {
+	t := r.Topology()
+	g := idxGen{scheme: fastKindOf(r.sel), h: t.H()}
+	g.wprod[0] = 1
+	for k := 1; k <= g.h; k++ {
+		g.w[k] = t.W(k)
+		g.wprod[k] = t.WProd(k)
+		g.np[k] = r.pathCount(k)
+		if g.np[k] > g.maxNP {
+			g.maxNP = g.np[k]
+		}
+	}
+	switch g.scheme {
+	case fastDisjoint:
+		for k := 1; k <= g.h; k++ {
+			g.offs[k] = make([]int32, g.np[k])
+			for c := 0; c < g.np[k]; c++ {
+				g.offs[k][c] = int32(DisjointOffset(t, k, c))
+			}
+		}
+	case fastUMulti:
+		g.iota = make([]int32, g.wprod[g.h])
+		for i := range g.iota {
+			g.iota[i] = int32(i)
+		}
+	}
+	return g
+}
+
+// dmodkIndex is DModKIndex over the generator's cached radix tables.
+func (g *idxGen) dmodkIndex(v, k int) int {
+	idx := 0
+	for j := 1; j <= k; j++ {
+		idx = idx*g.w[j] + (v/g.wprod[j-1])%g.w[j]
+	}
+	return idx
+}
+
+// setSource hoists the source-anchored part of the index formulas
+// (only s-mod-k has one) out of the per-destination step.
+func (g *idxGen) setSource(src int) {
+	if g.scheme == fastSModK {
+		for k := 1; k <= g.h; k++ {
+			g.smod[k] = g.dmodkIndex(src, k)
+		}
+	}
+}
+
+// indices returns the np[k] canonical path indices of the pair
+// (current source, dst) at NCA level k — identical formulas to the
+// selectors' Select methods — written into buf (UMULTI returns its
+// shared 0..np-1 table instead). Closed-form schemes only.
+func (g *idxGen) indices(dst, k int, buf []int32) []int32 {
+	np := g.np[k]
+	idxs := buf[:np]
+	switch g.scheme {
+	case fastDModK:
+		idxs[0] = int32(g.dmodkIndex(dst, k))
+	case fastSModK:
+		idxs[0] = int32(g.smod[k])
+	case fastShift1:
+		x := g.wprod[k]
+		i0 := g.dmodkIndex(dst, k)
+		for c := 0; c < np; c++ {
+			idxs[c] = int32((i0 + c) % x)
+		}
+	case fastDisjoint:
+		x := g.wprod[k]
+		i0 := g.dmodkIndex(dst, k)
+		offs := g.offs[k]
+		for c := 0; c < np; c++ {
+			idxs[c] = int32((i0 + int(offs[c])) % x)
+		}
+	case fastUMulti:
+		idxs = g.iota[:np]
+	default:
+		panic("core: idxGen.indices on a selector with no closed form")
+	}
+	return idxs
+}
+
+// segFiller holds the reusable state of one segment fill: the index
+// generator, the link expander and the generic-selector scratch. One
+// filler per compileSegment call; fills are single-goroutine (block
+// parallelism is across segments).
+type segFiller struct {
+	idxGen
+	r   *Routing
+	exp *topology.LinkExpander
+	n   int
+
+	psub [maxDigits]int // processors per level-k subtree
 
 	idxBuf  []int32
 	pathBuf []int
 	ps      *PathScratch
-
-	// Delta fill (see segdelta.go): when base is non-nil, spans at
-	// levels marked shared copy the base segment's rows instead of
-	// regenerating them; rowsShared counts the rows served that way.
-	base       *RoutingSegment
-	shared     []bool
-	rowsShared int64
 }
 
 func newSegFiller(r *Routing) *segFiller {
 	t := r.Topology()
 	f := &segFiller{
-		r:    r,
-		topo: t,
-		exp:  t.NewLinkExpander(),
-		h:    t.H(),
-		n:    t.NumProcessors(),
+		idxGen: newIdxGen(r),
+		r:      r,
+		exp:    t.NewLinkExpander(),
+		n:      t.NumProcessors(),
 	}
 	f.psub[0] = 1
-	maxNP := 0
 	for k := 1; k <= f.h; k++ {
-		f.w[k] = t.W(k)
-		f.wprod[k] = t.WProd(k)
 		f.psub[k] = t.ProcessorsPerSubtree(k)
-		f.np[k] = r.pathCount(k)
-		if f.np[k] > maxNP {
-			maxNP = f.np[k]
-		}
 	}
-	f.wprod[0] = 1
-	f.scheme = fastKindOf(r.sel)
-	switch f.scheme {
-	case fastDisjoint:
-		for k := 1; k <= f.h; k++ {
-			f.offs[k] = make([]int32, f.np[k])
-			for c := 0; c < f.np[k]; c++ {
-				f.offs[k][c] = int32(DisjointOffset(t, k, c))
-			}
-		}
-	case fastUMulti:
-		f.iota = make([]int32, f.wprod[f.h])
-		for i := range f.iota {
-			f.iota[i] = int32(i)
-		}
-	case fastGeneric:
+	if f.scheme == fastGeneric {
 		f.ps = NewPathScratch()
 	}
-	f.idxBuf = make([]int32, maxNP)
+	f.idxBuf = make([]int32, f.maxNP)
 	return f
 }
 
@@ -130,15 +216,6 @@ func (f *segFiller) perSourceCounts() (paths, links int64) {
 	return paths, links
 }
 
-// dmodkIndex is DModKIndex over the filler's cached radix tables.
-func (f *segFiller) dmodkIndex(v, k int) int {
-	idx := 0
-	for j := 1; j <= k; j++ {
-		idx = idx*f.w[j] + (v/f.wprod[j-1])%f.w[j]
-	}
-	return idx
-}
-
 // fill writes every CSR row of sources [lo, hi) into s, whose offset
 // and data arrays are already sized exactly. Rows are emitted in the
 // same (src, dst) order as the generic loop.
@@ -147,11 +224,7 @@ func (f *segFiller) fill(s *RoutingSegment, lo, hi int) error {
 	p := 0
 	for src := lo; src < hi; src++ {
 		f.exp.SetSource(src)
-		if f.scheme == fastSModK {
-			for k := 1; k <= f.h; k++ {
-				f.smod[k] = f.dmodkIndex(src, k)
-			}
-		}
+		f.setSource(src)
 		// Destination intervals of constant NCA level: the nested
 		// aligned subtree blocks of src, split at the next-lower block.
 		// Descending run (dst < src), the self pair, ascending run.
@@ -159,7 +232,7 @@ func (f *segFiller) fill(s *RoutingSegment, lo, hi int) error {
 			a := src - src%f.psub[k]
 			b := src - src%f.psub[k-1]
 			if a < b {
-				if err := f.span(s, src, a, b, k, &p, &nPaths, &nLinks); err != nil {
+				if err := f.fillSpan(s, src, a, b, k, &p, &nPaths, &nLinks); err != nil {
 					return err
 				}
 			}
@@ -171,7 +244,7 @@ func (f *segFiller) fill(s *RoutingSegment, lo, hi int) error {
 			a := src - src%f.psub[k-1] + f.psub[k-1]
 			b := src - src%f.psub[k] + f.psub[k]
 			if a < b {
-				if err := f.span(s, src, a, b, k, &p, &nPaths, &nLinks); err != nil {
+				if err := f.fillSpan(s, src, a, b, k, &p, &nPaths, &nLinks); err != nil {
 					return err
 				}
 			}
@@ -186,48 +259,11 @@ func (f *segFiller) fill(s *RoutingSegment, lo, hi int) error {
 	return nil
 }
 
-// span emits the rows of destinations [d0, d1), all at NCA level k
-// against src — by copying the base segment's rows when a delta fill
-// marked level k shared, and by generating them otherwise.
-func (f *segFiller) span(s *RoutingSegment, src, d0, d1, k int, p *int, nPaths, nLinks *int64) error {
-	if f.base != nil && f.shared[k] {
-		f.copySpan(s, d0, d1, k, p, nPaths, nLinks)
-		return nil
-	}
-	return f.fillSpan(s, src, d0, d1, k, p, nPaths, nLinks)
-}
-
-// copySpan copies the rows of destinations [d0, d1) at level k out of
-// the base segment. Because delta compatibility requires equal
-// per-level path counts (see DeltaSharedLevels), the base segment's
-// rows sit at exactly the same pathIdx/links positions as the rows
-// being written, so the copy is two straight memmoves per span.
-func (f *segFiller) copySpan(s *RoutingSegment, d0, d1, k int, p *int, nPaths, nLinks *int64) {
-	np := int64(f.np[k])
-	stride := np * int64(2*k)
-	rows := d1 - d0
-	row := *p
-	paths := *nPaths
-	links := *nLinks
-	for i := 0; i < rows; i++ {
-		s.pathOff[row] = paths + int64(i)*np
-		s.linkOff[row] = links + int64(i)*stride
-		row++
-	}
-	copy(s.pathIdx[paths:paths+int64(rows)*np], f.base.pathIdx[paths:paths+int64(rows)*np])
-	copy(s.links[links:links+int64(rows)*stride], f.base.links[links:links+int64(rows)*stride])
-	f.rowsShared += int64(rows)
-	*p = row
-	*nPaths = paths + int64(rows)*np
-	*nLinks = links + int64(rows)*stride
-}
-
 // fillSpan emits the rows of destinations [d0, d1), all at NCA level k
 // against src.
 func (f *segFiller) fillSpan(s *RoutingSegment, src, d0, d1, k int, p *int, nPaths, nLinks *int64) error {
 	np := f.np[k]
 	stride := 2 * k
-	x := f.wprod[k]
 	row := *p
 	paths := *nPaths
 	links := *nLinks
@@ -235,31 +271,16 @@ func (f *segFiller) fillSpan(s *RoutingSegment, src, d0, d1, k int, p *int, nPat
 		s.pathOff[row] = paths
 		s.linkOff[row] = links
 		row++
-		idxs := f.idxBuf[:np]
-		switch f.scheme {
-		case fastDModK:
-			idxs[0] = int32(f.dmodkIndex(dst, k))
-		case fastSModK:
-			idxs[0] = int32(f.smod[k])
-		case fastShift1:
-			i0 := f.dmodkIndex(dst, k)
-			for c := 0; c < np; c++ {
-				idxs[c] = int32((i0 + c) % x)
-			}
-		case fastDisjoint:
-			i0 := f.dmodkIndex(dst, k)
-			offs := f.offs[k]
-			for c := 0; c < np; c++ {
-				idxs[c] = int32((i0 + int(offs[c])) % x)
-			}
-		case fastUMulti:
-			idxs = f.iota[:np]
-		default:
+		var idxs []int32
+		if f.scheme != fastGeneric {
+			idxs = f.indices(dst, k, f.idxBuf)
+		} else {
 			f.pathBuf = f.r.AppendPathsScratch(f.ps, f.pathBuf[:0], src, dst)
 			if len(f.pathBuf) != np {
 				return fmt.Errorf("core: selector %s produced %d paths for pair (%d,%d), predicted %d; custom selectors must emit a fixed count per NCA level to be compilable",
 					f.r.Selector().Name(), len(f.pathBuf), src, dst, np)
 			}
+			idxs = f.idxBuf[:np]
 			for i, idx := range f.pathBuf {
 				idxs[i] = int32(idx)
 			}

@@ -21,18 +21,6 @@ var met = struct {
 	segmentsCacheMiss   *obs.Counter
 	segmentsCacheWrite  *obs.Counter
 	segmentLivePeak     *obs.Gauge
-	// Prefetch pipeline: segments materialized asynchronously by the
-	// compile workers, and admissions refused because pooled + in-flight
-	// bytes would have exceeded the resident budget.
-	segmentsPrefetched *obs.Counter
-	prefetchStalls     *obs.Counter
-	// Delta-encoded segments: rows served by copying the base scheme's
-	// segment instead of recompiling, segments materialized by patching
-	// a cached delta record, and cache bytes the delta format saved
-	// against full-fat records.
-	segDeltaRowsShared *obs.Counter
-	segDeltaPatched    *obs.Counter
-	segDeltaBytesSaved *obs.Counter
 }{
 	compiles:            obs.Default().Counter("core.compiles"),
 	compiledPairs:       obs.Default().Counter("core.compiled_pairs"),
@@ -44,9 +32,4 @@ var met = struct {
 	segmentsCacheMiss:   obs.Default().Counter("core.segments_cache_miss"),
 	segmentsCacheWrite:  obs.Default().Counter("core.segments_cache_write"),
 	segmentLivePeak:     obs.Default().Gauge("core.segment_live_bytes_peak"),
-	segmentsPrefetched:  obs.Default().Counter("core.segments_prefetched"),
-	prefetchStalls:      obs.Default().Counter("core.prefetch_stalls"),
-	segDeltaRowsShared:  obs.Default().Counter("core.segment_delta_rows_shared"),
-	segDeltaPatched:     obs.Default().Counter("core.segments_delta_patched"),
-	segDeltaBytesSaved:  obs.Default().Counter("core.segment_delta_bytes_saved"),
 }

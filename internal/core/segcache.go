@@ -152,7 +152,7 @@ func (c *SegmentCache) evict() {
 			continue
 		}
 		name := e.Name()
-		if !strings.HasSuffix(name, ".seg") && !strings.HasSuffix(name, ".segd") {
+		if !strings.HasSuffix(name, ".seg") {
 			continue
 		}
 		fi, err := e.Info()
@@ -267,142 +267,6 @@ func (c *SegmentCache) load(key string, g, wantLo, wantHi, n int) (*RoutingSegme
 	}
 	s.bytes = s.Bytes()
 	return s, true
-}
-
-// deltaPath names the file for a delta record of (key, segment index).
-// Delta keys carry their own format prefix so the hash never collides
-// with a full record's, but the distinct extension keeps the two record
-// kinds tellable apart in a directory listing (and in eviction).
-func (c *SegmentCache) deltaPath(key string, g int) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return filepath.Join(c.dir, fmt.Sprintf("%016x-%06d.segd", h.Sum64(), g))
-}
-
-const segDeltaMagic = "XGFTSGD1"
-
-// storeDelta writes segment s's delta encoding d atomically, mirroring
-// store's temp + rename discipline. The header reuses the full record's
-// fixed layout with the shared-level mask in the nOff slot — a delta
-// record has no offset arrays to count.
-func (c *SegmentCache) storeDelta(key string, g int, s *RoutingSegment, d *SegmentDelta) error {
-	hdr := buildDeltaHeader(key, g, s, d)
-	tmp, err := c.tempFile()
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	for _, chunk := range [][]byte{hdr, int32Bytes(d.PathIdx), int32Bytes(d.Links)} {
-		if _, err := tmp.Write(chunk); err != nil {
-			return cleanup(err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := os.Rename(tmp.Name(), c.deltaPath(key, g)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	c.evict()
-	return nil
-}
-
-// buildDeltaHeader is buildSegHeader for delta records: same fixed
-// field widths and padding, delta magic, and the shared-level mask
-// where a full record counts its offset rows.
-func buildDeltaHeader(key string, g int, s *RoutingSegment, d *SegmentDelta) []byte {
-	n := align8(segFixedHeader+len(key)) + 8
-	hdr := make([]byte, n)
-	copy(hdr, segDeltaMagic)
-	le := binary.LittleEndian
-	le.PutUint32(hdr[8:], uint32(len(key)))
-	le.PutUint32(hdr[12:], uint32(g))
-	le.PutUint64(hdr[16:], uint64(s.srcLo))
-	le.PutUint64(hdr[24:], uint64(s.srcHi))
-	le.PutUint64(hdr[32:], d.Mask)
-	le.PutUint64(hdr[40:], uint64(len(d.PathIdx)))
-	le.PutUint64(hdr[48:], uint64(len(d.Links)))
-	copy(hdr[segFixedHeader:], key)
-	*(*uint32)(unsafe.Pointer(&hdr[n-8])) = segSentinel // host order on purpose
-	return hdr
-}
-
-// loadDelta fetches the delta record for segment g under plan pl. The
-// returned delta's arrays alias the file mapping; cleanup releases it
-// and must be called once the delta has been applied. As with load,
-// every failure mode — absent, truncated, foreign key or endianness,
-// stale spans, a mask or payload that disagrees with the plan — is a
-// miss.
-func (c *SegmentCache) loadDelta(pl *deltaPlan, g, wantLo, wantHi int) (*SegmentDelta, func(), bool) {
-	key := pl.key
-	f, err := os.Open(c.deltaPath(key, g))
-	if err != nil {
-		return nil, nil, false
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil || st.Size() > int64(int(^uint(0)>>1)) {
-		return nil, nil, false
-	}
-	size := int(st.Size())
-	if size < segFixedHeader+8 {
-		return nil, nil, false
-	}
-	data, mapped, err := readSegFile(f, size)
-	if err != nil {
-		return nil, nil, false
-	}
-	drop := func() (*SegmentDelta, func(), bool) {
-		if mapped != nil {
-			munmapFile(mapped)
-		}
-		return nil, nil, false
-	}
-	if string(data[:8]) != segDeltaMagic {
-		return drop()
-	}
-	le := binary.LittleEndian
-	keyLen := int(le.Uint32(data[8:]))
-	segIdx := int(le.Uint32(data[12:]))
-	srcLo := int(le.Uint64(data[16:]))
-	srcHi := int(le.Uint64(data[24:]))
-	mask := le.Uint64(data[32:])
-	nPathIdx := int(le.Uint64(data[40:]))
-	nLinks := int(le.Uint64(data[48:]))
-	hdrLen := align8(segFixedHeader+keyLen) + 8
-	if keyLen != len(key) || hdrLen > size || string(data[segFixedHeader:segFixedHeader+keyLen]) != key {
-		return drop()
-	}
-	var sent [4]byte
-	*(*uint32)(unsafe.Pointer(&sent[0])) = segSentinel
-	if !bytes.Equal(data[hdrLen-8:hdrLen-4], sent[:]) {
-		return drop() // written on a foreign-endian machine
-	}
-	nSrc := int64(wantHi - wantLo)
-	if segIdx != g || srcLo != wantLo || srcHi != wantHi || mask != pl.mask ||
-		int64(nPathIdx) != nSrc*pl.chPathsPerSrc || int64(nLinks) != nSrc*pl.chLinksPerSrc ||
-		size != hdrLen+4*nPathIdx+4*nLinks {
-		return drop()
-	}
-	off := hdrLen
-	pathIdx, ok1 := sliceInt32(data[off:], nPathIdx)
-	off += 4 * nPathIdx
-	links, ok2 := sliceInt32(data[off:], nLinks)
-	if !ok1 || !ok2 {
-		return drop()
-	}
-	d := &SegmentDelta{Mask: mask, PathIdx: pathIdx, Links: links}
-	cleanup := func() {
-		if mapped != nil {
-			munmapFile(mapped)
-		}
-	}
-	return d, cleanup, true
 }
 
 // forceHeapSegments, when set, makes readSegFile skip the mmap path so

@@ -26,18 +26,13 @@ type TableOptions struct {
 	Budget int64
 	// SegmentBytes overrides the experiment's segment size when > 0.
 	SegmentBytes int64
-	// Prefetch enables the async segment compile pipeline at the given
-	// depth; 0 disables it.
-	Prefetch int
-	// SegmentDelta compiles delta-compatible schemes of a multi-scheme
-	// sweep as patches against the first compatible scheme's table,
-	// in memory and in the segment cache.
-	SegmentDelta bool
 }
 
 // MegaConfig describes a mega-fabric Figure-4-style sweep: average
 // maximum link load of random permutations versus K, on a fabric too
-// large to compile in full, evaluated with block-compiled tables.
+// large to compile in full, evaluated in block mode — table-free for
+// closed-form selectors, over streamed block-compiled tables for the
+// rest (see flow.BlockEvaluator).
 type MegaConfig struct {
 	Topo *topology.Topology
 	// Ks is the requested K grid (clamped/deduped via effectiveKs).
@@ -76,16 +71,6 @@ type MegaConfig struct {
 	// EvalBytes bounds total evaluator row memory across shards, which
 	// sets how many samples share one table walk; 0 means 512 MiB.
 	EvalBytes int64
-	// Prefetch enables the async compile pipeline at the given depth
-	// (see core.BlockOptions.Prefetch); 0 disables it.
-	Prefetch int
-	// SegmentDelta compiles each unit whose scheme is delta-compatible
-	// with an earlier unit's as a delta against that table (see
-	// core.BlockOptions.DeltaBase): the base compiles once, variants
-	// copy its shared levels and cache only changed rows. Base tables
-	// stay open for the rest of the sweep instead of closing with their
-	// unit.
-	SegmentDelta bool
 	// Ctx cancels the sweep between shard cells (see Scale.Ctx).
 	Ctx context.Context
 }
@@ -139,7 +124,7 @@ func MegaFabricSweep(cfg MegaConfig) (*Table, error) {
 	seedsOf := make([][]int64, len(schemes))
 	for j, sel := range schemes {
 		seedsOf[j] = []int64{0}
-		if !deterministicSelector(sel) {
+		if !core.ClosedForm(sel) {
 			seedsOf[j] = randSeeds
 		}
 		for _, s := range seedsOf[j] {
@@ -147,42 +132,16 @@ func MegaFabricSweep(cfg MegaConfig) (*Table, error) {
 		}
 	}
 
-	// results[u][i][j]: unit u, sample i, effective-K column j. Units
-	// still run one at a time; with SegmentDelta, the first table of
-	// each delta-compatible group additionally stays open as the base
-	// later units patch against, so only base tables accumulate.
+	// results[u][i][j]: unit u, sample i, effective-K column j.
 	results := make([][][]float64, len(units))
-	var bases []*core.BlockCompiledRouting
-	defer func() {
-		for _, b := range bases {
-			b.Close()
-		}
-	}()
 	for u, unit := range units {
-		r := core.NewRouting(t, schemes[unit.scheme], kmax, unit.seed)
-		opts := core.BlockOptions{
+		b := core.NewBlockCompiledRouting(core.NewRouting(t, schemes[unit.scheme], kmax, unit.seed), core.BlockOptions{
 			SegmentBytes:  cfg.SegmentBytes,
 			ResidentBytes: cfg.TableBudget,
 			Cache:         cache,
-			Prefetch:      cfg.Prefetch,
-		}
-		if cfg.SegmentDelta {
-			for _, cand := range bases {
-				if _, ok := core.DeltaSharedLevels(cand.Routing(), r); ok {
-					opts.DeltaBase = cand
-					break
-				}
-			}
-		}
-		b := core.NewBlockCompiledRouting(r, opts)
-		isBase := cfg.SegmentDelta && opts.DeltaBase == nil
-		if isBase {
-			bases = append(bases, b)
-		}
+		})
 		vals, err := runMegaUnit(cfg, b, eff, evalBytes)
-		if !isBase {
-			b.Close()
-		}
+		b.Close()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mega unit %s seed %d: %w", schemes[unit.scheme].Name(), unit.seed, err)
 		}
@@ -212,7 +171,7 @@ func MegaFabricSweep(cfg MegaConfig) (*Table, error) {
 	}
 
 	tbl := &Table{
-		Title:   fmt.Sprintf("Mega-fabric sweep: average maximum link load vs paths, %s (%d endpoints, block-compiled tables)", t, t.NumProcessors()),
+		Title:   fmt.Sprintf("Mega-fabric sweep: average maximum link load vs paths, %s (%d endpoints, block mode)", t, t.NumProcessors()),
 		XLabel:  "K",
 		Columns: make([]string, len(schemes)),
 	}
@@ -228,7 +187,7 @@ func MegaFabricSweep(cfg MegaConfig) (*Table, error) {
 		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%d", k))
 		tbl.Cells = append(tbl.Cells, row)
 	}
-	tbl.Footnote = fmt.Sprintf("fixed %d permutations/cell, 99%% CI half-widths; out-of-core block tables (segments ≈ %s)",
+	tbl.Footnote = fmt.Sprintf("fixed %d permutations/cell, 99%% CI half-widths; closed-form schemes table-free, others over out-of-core block tables (segments ≈ %s)",
 		cfg.Samples, byteSize(segBytesOf(cfg)))
 	return tbl, nil
 }
@@ -240,22 +199,13 @@ func segBytesOf(cfg MegaConfig) int64 {
 	return core.DefaultSegmentBytes
 }
 
-// deterministicSelector mirrors flow's seed-defaulting rule.
-func deterministicSelector(sel core.Selector) bool {
-	switch sel.(type) {
-	case core.DModK, core.SModK, core.Shift1, core.Disjoint, core.UMulti:
-		return true
-	}
-	return false
-}
-
 // runMegaUnit measures one (scheme, seed) over its prepared block
 // table: Samples permutations × the effective K grid, returning
 // vals[i][j]. Samples are processed in rounds sized so evaluator row
 // memory stays under evalBytes; each round is one sharded
 // segment-ordered walk of the whole batch, so a segment is compiled
-// (or mapped) once per round per shard. The caller owns b's lifetime
-// (delta base tables outlive their unit).
+// (or mapped) once per round per shard — or, for a closed-form
+// selector, never: its rows are derived per flow.
 func runMegaUnit(cfg MegaConfig, b *core.BlockCompiledRouting, eff []int, evalBytes int64) ([][]float64, error) {
 	t := cfg.Topo
 	shards := cfg.Workers
@@ -351,18 +301,15 @@ func Mega(sc Scale, seed int64, topt TableOptions) (*Table, error) {
 		CacheMaxBytes: topt.CacheMaxBytes,
 		TableBudget:   topt.Budget,
 		SegmentBytes:  topt.SegmentBytes,
-		Prefetch:      topt.Prefetch,
-		SegmentDelta:  topt.SegmentDelta,
 	}
 	switch sc.Name {
 	case "quick", "":
 		cfg.Topo = topology.MustNew(3, []int{8, 8, 8}, []int{1, 8, 8})
 		cfg.Ks = []int{1, 2, 4}
 		cfg.Samples = 8
-		// Shift-1 and disjoint are delta-compatible (equal per-level path
-		// counts), so the quick scale exercises the delta path whenever
-		// -segment-delta is on; d-mod-k (single-path) stands alone.
-		cfg.Schemes = []core.Selector{core.DModK{}, core.Shift1{}, core.Disjoint{}}
+		// The closed-form schemes run table-free; random-K keeps the block
+		// tables, pool and segment cache exercised at smoke scale.
+		cfg.Schemes = []core.Selector{core.DModK{}, core.Shift1{}, core.Disjoint{}, core.RandomK{}}
 		if cfg.SegmentBytes <= 0 {
 			cfg.SegmentBytes = 256 << 10
 		}

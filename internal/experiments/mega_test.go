@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"xgftsim/internal/core"
@@ -96,7 +97,8 @@ func TestMegaFabricSweepParallelMatchesSequential(t *testing.T) {
 
 // TestMegaQuickScaleWithCache runs the quick-scale mega experiment
 // twice against one cache directory: identical tables, and the second
-// run must hit the segment cache.
+// run must hit the segment cache — through the scale's random-K
+// column, the only one that builds tables.
 func TestMegaQuickScaleWithCache(t *testing.T) {
 	topt := TableOptions{CacheDir: t.TempDir(), SegmentBytes: 64 << 10}
 	sc := QuickScale()
@@ -120,5 +122,95 @@ func TestMegaQuickScaleWithCache(t *testing.T) {
 				t.Fatalf("cell (%d,%d) changed across cache reuse: %+v vs %+v", r, c, cold.Cells[r][c], warm.Cells[r][c])
 			}
 		}
+	}
+}
+
+// TestMegaUnitTableFreeMatchesShardedLazy pins the table-free path
+// through runMegaUnit on an asymmetric fabric at path limits that are
+// not powers of two, for every closed-form selector and 1, 2 and 3
+// workers. The reference re-does the unit's arithmetic with the lazy
+// evaluator: each shard's flows (the sources of its segment range)
+// evaluated on their own, the shard rows summed per link in shard
+// order, then the maximum — so every worker count is held to the bit,
+// not just the single-shard walk. No segment may be compiled on the
+// way; a random-K unit on the same fabric must still compile some.
+func TestMegaUnitTableFreeMatchesShardedLazy(t *testing.T) {
+	topo := topology.MustNew(3, []int{4, 3, 2}, []int{1, 2, 3})
+	n := topo.NumProcessors()
+	ks := []int{1, 2, 3, 5, topo.MaxPaths()}
+	kmax := ks[len(ks)-1]
+	cfg := MegaConfig{Topo: topo, Samples: 5, PermSeed: 31, SegmentBytes: 4 << 10}
+	perms := make([]*traffic.Matrix, cfg.Samples)
+	var flows int64 // fixed points of a permutation carry no flow
+	for i := range perms {
+		perms[i] = traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(cfg.PermSeed, int64(i))))
+		flows += int64(perms[i].NumFlows())
+	}
+	compiled := obs.Default().Counter("core.segments_compiled")
+	derived := obs.Default().Counter("flow.block_rows_derived")
+	sels := []core.Selector{core.DModK{}, core.SModK{}, core.Shift1{}, core.Disjoint{}, core.UMulti{}}
+	for _, sel := range sels {
+		for _, workers := range []int{1, 2, 3} {
+			cfg.Workers = workers
+			b := core.NewBlockCompiledRouting(core.NewRouting(topo, sel, kmax, 0), core.BlockOptions{SegmentBytes: cfg.SegmentBytes})
+			nSeg := b.NumSegments()
+			if nSeg < workers {
+				t.Fatalf("%d segments cannot feed %d shards", nSeg, workers)
+			}
+			compiled0, derived0 := compiled.Value(), derived.Value()
+			vals, err := runMegaUnit(cfg, b, ks, 512<<20)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", sel.Name(), workers, err)
+			}
+			if d := compiled.Value() - compiled0; d != 0 {
+				t.Fatalf("%s workers=%d: closed-form unit compiled %d segments", sel.Name(), workers, d)
+			}
+			if d := derived.Value() - derived0; d != flows {
+				t.Fatalf("%s workers=%d: %d rows derived, want %d (one per flow)", sel.Name(), workers, d, flows)
+			}
+			for j, k := range ks {
+				lazy := flow.NewEvaluator(core.NewRouting(topo, sel, k, 0))
+				for i, tm := range perms {
+					sum := make([]float64, topo.NumLinks())
+					for sh := 0; sh < workers; sh++ {
+						lo, _ := b.SegmentSpan(sh * nSeg / workers)
+						_, hi := b.SegmentSpan((sh+1)*nSeg/workers - 1)
+						part := traffic.NewMatrix(n)
+						for _, f := range tm.Flows() {
+							if f.Src >= lo && f.Src < hi {
+								part.Add(f.Src, f.Dst, f.Amount)
+							}
+						}
+						for l, v := range lazy.Loads(part) {
+							sum[l] += v
+						}
+					}
+					want := 0.0
+					for _, v := range sum {
+						if v > want {
+							want = v
+						}
+					}
+					if got := vals[i][j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s workers=%d K=%d sample %d: table-free %v != sharded lazy %v", sel.Name(), workers, k, i, got, want)
+					}
+				}
+			}
+			b.Close()
+		}
+	}
+
+	cfg.Workers = 2
+	b := core.NewBlockCompiledRouting(core.NewRouting(topo, core.RandomK{}, kmax, 101), core.BlockOptions{SegmentBytes: cfg.SegmentBytes})
+	defer b.Close()
+	compiled0, derived0 := compiled.Value(), derived.Value()
+	if _, err := runMegaUnit(cfg, b, ks, 512<<20); err != nil {
+		t.Fatalf("random-K unit: %v", err)
+	}
+	if compiled.Value() == compiled0 {
+		t.Fatalf("random-K unit compiled no segment: generic selectors must keep their tables")
+	}
+	if d := derived.Value() - derived0; d != 0 {
+		t.Fatalf("random-K unit derived %d rows", d)
 	}
 }

@@ -17,6 +17,13 @@ import (
 // Peak table memory is one segment, not N² rows — the evaluator for
 // the regime where core.CompileRouting cannot fit its budget.
 //
+// When the routing's selector is closed-form (core.ClosedForm) no
+// segment is fetched at all: the same walk — same spans, same flow
+// order, same adds — takes each flow's row from a core.RowDeriver
+// instead, so nothing is compiled, pooled or cached and the cost of a
+// walk scales with the flows evaluated, not with N² table rows. Only
+// generic selectors (random-K, custom) still stream tables.
+//
 // Per flow and per K column it performs exactly the per-K lazy
 // Evaluator's adds — share = amount/min(K, numPaths) over the pair's
 // first min(K, numPaths) path-link segments, in matrix order for
@@ -33,17 +40,25 @@ import (
 // AccumulateSegments), merged by the caller.
 type BlockEvaluator struct {
 	b     *core.BlockCompiledRouting
+	der   *core.RowDeriver // non-nil: table-free, rows derived on demand
 	topo  *topology.Topology
 	class selClass
 	ks    []int
 
 	numLinks int
-	batch    int           // matrices covered by the current rows
-	rows     [][]float64   // batch·len(ks) load rows
-	touched  [][]int32     // per-row touched-link lists
-	orders   [][]int       // per-matrix flow order by source (nil: matrix order)
+	batch    int         // matrices covered by the current rows
+	rows     [][]float64 // batch·len(ks) load rows
+	touched  [][]int32   // per-row touched-link lists
+	orders   [][]int     // per-matrix flow order by source (nil: matrix order)
 	cursors  []int
 	walked   int64
+	derived  int64
+}
+
+// rowSource is where a walk reads a flow's CSR row from: a fetched
+// core.RoutingSegment or the evaluator's core.RowDeriver.
+type rowSource interface {
+	PairPathLinks(src, dst int) (links []int32, numPaths, stride int)
 }
 
 // NewBlockEvaluator creates a block evaluator over the ascending,
@@ -68,13 +83,17 @@ func NewBlockEvaluator(b *core.BlockCompiledRouting, ks []int) *BlockEvaluator {
 	if rk := r.K(); rk > 0 && rk < ks[len(ks)-1] && classify(sel) == classLimited {
 		panic(fmt.Sprintf("flow: block table built at K=%d cannot serve grid up to K=%d", rk, ks[len(ks)-1]))
 	}
-	return &BlockEvaluator{
+	e := &BlockEvaluator{
 		b:        b,
 		topo:     b.Topology(),
 		class:    classify(sel),
 		ks:       append([]int(nil), ks...),
 		numLinks: b.Topology().NumLinks(),
 	}
+	if core.ClosedForm(sel) {
+		e.der = core.NewRowDeriver(r)
+	}
+	return e
 }
 
 // Ks returns the evaluator's K grid.
@@ -87,7 +106,8 @@ func (e *BlockEvaluator) Table() *core.BlockCompiledRouting { return e.b }
 // of the batch in one segment-ordered walk, writing out[s][j] for
 // matrix s and grid column j. Each needed segment is fetched exactly
 // once per call regardless of batch and grid size; segments no matrix
-// touches are never fetched (and so never compiled).
+// touches are never fetched (and so never compiled). Closed-form
+// routings fetch none.
 func (e *BlockEvaluator) MaxLoadsBatch(tms []*traffic.Matrix, out [][]float64) error {
 	if err := e.AccumulateSegments(tms, 0, e.b.NumSegments()); err != nil {
 		return err
@@ -112,27 +132,19 @@ func (e *BlockEvaluator) AccumulateSegments(tms []*traffic.Matrix, g0, g1 int) e
 	met.blockWalks.Inc()
 	met.pairsEvaluated.Add(countFlows(tms))
 	e.reset(tms, g0)
-	depth := e.b.PrefetchDepth()
 	for g := g0; g < g1; g++ {
 		if e.allDone(tms) {
 			break
 		}
-		lo, hi := e.b.SegmentSpan(g)
+		_, hi := e.b.SegmentSpan(g)
 		if !e.anyFlowIn(tms, hi) {
 			continue
 		}
-		// Prime the compile pipeline before blocking on this segment:
-		// upcoming segments materialize on the worker pool while this one
-		// is accumulated. Issuance stops at the first segment no remaining
-		// flow can reach (cursors only advance, so later walk iterations
-		// re-issue as the frontier moves). Prefetch never blocks and its
-		// admission is budget-bounded, so over-issuing is safe.
-		for n := g + 1; n <= g+depth && n < g1; n++ {
-			_, nhi := e.b.SegmentSpan(n)
-			if !e.anyFlowIn(tms, nhi) {
-				break
+		if e.der != nil {
+			for s, tm := range tms {
+				e.derived += e.evalSpan(s, tm, e.der, hi)
 			}
-			e.b.Prefetch(n)
+			continue
 		}
 		seg, err := e.b.Segment(g)
 		if err != nil {
@@ -140,12 +152,13 @@ func (e *BlockEvaluator) AccumulateSegments(tms []*traffic.Matrix, g0, g1 int) e
 		}
 		e.walked++
 		for s, tm := range tms {
-			e.evalSpan(s, tm, seg, lo, hi)
+			e.evalSpan(s, tm, seg, hi)
 		}
 		e.b.Release(seg)
 	}
 	met.blockSegments.Add(e.walked)
-	e.walked = 0
+	met.blockRowsDerived.Add(e.derived)
+	e.walked, e.derived = 0, 0
 	return nil
 }
 
@@ -285,12 +298,15 @@ func (e *BlockEvaluator) anyFlowIn(tms []*traffic.Matrix, hi int) bool {
 	return false
 }
 
-// evalSpan advances matrix s through every flow with source in
-// [lo, hi), adding each flow's per-K shares from the segment's rows.
-func (e *BlockEvaluator) evalSpan(s int, tm *traffic.Matrix, seg *core.RoutingSegment, lo, hi int) {
+// evalSpan advances matrix s through every flow with source below hi
+// (the cursor already sits at the span's first flow), adding each
+// flow's per-K shares from the row source's rows; it returns the
+// number of rows read.
+func (e *BlockEvaluator) evalSpan(s int, tm *traffic.Matrix, rows rowSource, hi int) int64 {
 	flows := tm.Flows()
 	order := e.orders[s]
 	c := e.cursors[s]
+	c0 := c
 	nK := len(e.ks)
 	for c < len(flows) {
 		f := flows[c]
@@ -301,7 +317,7 @@ func (e *BlockEvaluator) evalSpan(s int, tm *traffic.Matrix, seg *core.RoutingSe
 			break
 		}
 		c++
-		links, np, stride := seg.PairPathLinks(f.Src, f.Dst)
+		links, np, stride := rows.PairPathLinks(f.Src, f.Dst)
 		if np == 0 {
 			continue
 		}
@@ -329,6 +345,7 @@ func (e *BlockEvaluator) evalSpan(s int, tm *traffic.Matrix, seg *core.RoutingSe
 		}
 	}
 	e.cursors[s] = c
+	return int64(c - c0)
 }
 
 func countFlows(tms []*traffic.Matrix) int64 {

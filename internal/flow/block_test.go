@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"xgftsim/internal/core"
@@ -123,74 +125,115 @@ func TestBlockEvaluatorShardedMerge(t *testing.T) {
 	}
 }
 
-// TestBlockEvaluatorPrefetchMatches pins the pipeline's transparency:
-// the same batch evaluated over a prefetching table produces bitwise
-// the same loads as over a plain one, and the workers actually serve
-// segments (nonzero core.segments_prefetched).
-func TestBlockEvaluatorPrefetchMatches(t *testing.T) {
-	topo := blockFlowTopo(t)
+// closedFormSelectors are the schemes a BlockEvaluator runs table-free.
+var closedFormSelectors = []core.Selector{core.DModK{}, core.SModK{}, core.Shift1{}, core.Disjoint{}, core.UMulti{}}
+
+// sortedBySource returns tm's flows stably sorted by source — the
+// order a block walk visits them in.
+func sortedBySource(tm *traffic.Matrix) *traffic.Matrix {
+	flows := append([]traffic.Flow(nil), tm.Flows()...)
+	sort.SliceStable(flows, func(i, j int) bool { return flows[i].Src < flows[j].Src })
+	out := traffic.NewMatrix(tm.N)
+	for _, f := range flows {
+		out.Add(f.Src, f.Dst, f.Amount)
+	}
+	return out
+}
+
+// TestBlockDerivedMatchesLazy pins the table-free path's bit-identity
+// on an asymmetric fabric, at path limits that are not powers of two
+// (shares of 1/3 and 1/5 round, so any change of add order shows): for
+// every closed-form selector the derived walk equals the lazy per-K
+// Evaluator exactly, compiles no segment, and reports its rows in
+// flow.block_rows_derived. Unsorted matrices are walked in stable
+// source order, so their reference is the lazy evaluation of the
+// source-sorted copy.
+func TestBlockDerivedMatchesLazy(t *testing.T) {
+	topo := topology.MustNew(3, []int{4, 3, 2}, []int{1, 2, 3})
 	n := topo.NumProcessors()
-	tms := []*traffic.Matrix{
-		traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(13, 0))),
-		traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(13, 1))),
-	}
-	ks := []int{1, 4}
-	r := core.NewRouting(topo, core.Disjoint{}, 4, 0)
-	plain := core.NewBlockCompiledRouting(r, core.BlockOptions{SegmentBytes: 64 << 10})
-	defer plain.Close()
-	pref := core.NewBlockCompiledRouting(r, core.BlockOptions{SegmentBytes: 64 << 10, Prefetch: 4})
-	defer pref.Close()
-	want := [][]float64{make([]float64, len(ks)), make([]float64, len(ks))}
-	got := [][]float64{make([]float64, len(ks)), make([]float64, len(ks))}
-	if err := NewBlockEvaluator(plain, ks).MaxLoadsBatch(tms, want); err != nil {
-		t.Fatalf("plain MaxLoadsBatch: %v", err)
-	}
-	prefetched0 := obsCounter(t, "core.segments_prefetched")
-	if err := NewBlockEvaluator(pref, ks).MaxLoadsBatch(tms, got); err != nil {
-		t.Fatalf("prefetch MaxLoadsBatch: %v", err)
-	}
-	for s := range want {
-		for j := range ks {
-			if got[s][j] != want[s][j] {
-				t.Fatalf("matrix %d K=%d: prefetch %v != plain %v", s, ks[j], got[s][j], want[s][j])
-			}
+	unsorted := traffic.NewMatrix(n)
+	for i := 0; i < 3*n; i++ {
+		src := (i*7 + 3) % n
+		if dst := (src + 1 + i%(n-1)) % n; dst != src {
+			unsorted.Add(src, dst, 0.25+float64(i%5))
 		}
 	}
-	if obsCounter(t, "core.segments_prefetched") == prefetched0 {
-		t.Fatalf("prefetch workers served no segments")
+	tms := []*traffic.Matrix{
+		traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(29, 0))),
+		traffic.FromPermutation(traffic.Tornado(n)),
+		unsorted,
+	}
+	refs := []*traffic.Matrix{tms[0], tms[1], sortedBySource(unsorted)}
+	ks := []int{1, 2, 3, 5, topo.MaxPaths()}
+	kmax := ks[len(ks)-1]
+	var flowCount int64
+	for _, tm := range tms {
+		flowCount += int64(tm.NumFlows())
+	}
+	for _, sel := range closedFormSelectors {
+		t.Run(sel.Name(), func(t *testing.T) {
+			b := core.NewBlockCompiledRouting(core.NewRouting(topo, sel, kmax, 0), core.BlockOptions{SegmentBytes: 4 << 10})
+			defer b.Close()
+			if b.NumSegments() < 2 {
+				t.Fatalf("want multiple segments, got %d", b.NumSegments())
+			}
+			e := NewBlockEvaluator(b, ks)
+			out := make([][]float64, len(tms))
+			for i := range out {
+				out[i] = make([]float64, len(ks))
+			}
+			compiled0 := obsCounter(t, "core.segments_compiled")
+			walked0 := obsCounter(t, "flow.block_segments_walked")
+			derived0 := obsCounter(t, "flow.block_rows_derived")
+			if err := e.MaxLoadsBatch(tms, out); err != nil {
+				t.Fatalf("MaxLoadsBatch: %v", err)
+			}
+			if d := obsCounter(t, "core.segments_compiled") - compiled0; d != 0 {
+				t.Fatalf("table-free walk compiled %d segments", d)
+			}
+			if d := obsCounter(t, "flow.block_segments_walked") - walked0; d != 0 {
+				t.Fatalf("table-free walk fetched %d segments", d)
+			}
+			if d := obsCounter(t, "flow.block_rows_derived") - derived0; d != flowCount {
+				t.Fatalf("flow.block_rows_derived moved by %d, want %d (one per flow)", d, flowCount)
+			}
+			for j, k := range ks {
+				lazy := NewEvaluator(core.NewRouting(topo, sel, k, 0))
+				for s, ref := range refs {
+					want := lazy.MaxLoad(ref)
+					if got := out[s][j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("K=%d matrix %d: derived %v != lazy %v", k, s, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestBlockPrefetchSteadyStateAllocs pins the CI allocation contract:
-// with every segment resident (the steady state), enabling prefetch
-// adds zero allocations per AccumulateSegments call over the plain
-// walk — admission's warm-pool early return is allocation-free.
-func TestBlockPrefetchSteadyStateAllocs(t *testing.T) {
+// TestBlockDerivedSteadyStateAllocs pins the CI allocation contract of
+// the table-free path: once the evaluator's rows are sized, a walk —
+// reset, row derivation, accumulation, metric folds — allocates
+// nothing.
+func TestBlockDerivedSteadyStateAllocs(t *testing.T) {
 	topo := blockFlowTopo(t)
 	n := topo.NumProcessors()
 	tms := []*traffic.Matrix{
 		traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(17, 0))),
+		traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(17, 1))),
 	}
-	ks := []int{1, 4}
-	r := core.NewRouting(topo, core.Disjoint{}, 4, 0)
-	run := func(prefetch int) float64 {
-		b := core.NewBlockCompiledRouting(r, core.BlockOptions{SegmentBytes: 64 << 10, Prefetch: prefetch})
-		defer b.Close()
-		e := NewBlockEvaluator(b, ks)
-		// Warm: pool every segment and size the evaluator's rows.
-		if err := e.AccumulateSegments(tms, 0, b.NumSegments()); err != nil {
-			t.Fatalf("warm-up: %v", err)
-		}
-		return testing.AllocsPerRun(10, func() {
+	for _, sel := range closedFormSelectors {
+		b := core.NewBlockCompiledRouting(core.NewRouting(topo, sel, 4, 0), core.BlockOptions{SegmentBytes: 64 << 10})
+		e := NewBlockEvaluator(b, []int{1, 3, 4})
+		walk := func() {
 			if err := e.AccumulateSegments(tms, 0, b.NumSegments()); err != nil {
 				t.Fatalf("AccumulateSegments: %v", err)
 			}
-		})
-	}
-	base := run(0)
-	with := run(4)
-	if with > base {
-		t.Fatalf("prefetch adds steady-state allocations: %v/run with vs %v/run without", with, base)
+		}
+		walk() // size the rows and touched lists
+		if allocs := testing.AllocsPerRun(10, walk); allocs != 0 {
+			t.Errorf("%s: derived AccumulateSegments allocates %v objects per call, want 0", sel.Name(), allocs)
+		}
+		b.Close()
 	}
 }
 
@@ -236,8 +279,9 @@ func TestExperimentBlockUsesCache(t *testing.T) {
 	}
 	x := Experiment{
 		Topo:     topo,
-		Sel:      core.Disjoint{},
+		Sel:      core.RandomK{}, // closed-form schemes build no table to cache
 		K:        4,
+		Seeds:    []int64{101},
 		PermSeed: 5,
 		Sampling: stats.AdaptiveConfig{InitialSamples: 4, MaxSamples: 4, RelPrecision: 0.5},
 		Compile:  CompileBlock,

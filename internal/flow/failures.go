@@ -89,7 +89,7 @@ func (x FailureExperiment) resolveSeeds() []int64 {
 	if len(x.Seeds) > 0 {
 		return x.Seeds
 	}
-	if deterministicSelector(x.Sel) {
+	if core.ClosedForm(x.Sel) {
 		return []int64{0}
 	}
 	return []int64{101, 202, 303, 404, 505}

@@ -341,11 +341,6 @@ type BlockPolicy struct {
 	// links × batch × seeds); 0 means DefaultEvalBytes. Larger batches
 	// amortize segment fetches over more samples per walk.
 	EvalBytes int64
-	// Prefetch enables the async compile pipeline (see
-	// core.BlockOptions.Prefetch): when > 0, the evaluator issues
-	// prefetches that many segments ahead of its walk so segment
-	// materialization overlaps load accumulation. 0 disables it.
-	Prefetch int
 }
 
 // DefaultEvalBytes bounds block-mode evaluator row memory when
@@ -407,21 +402,12 @@ func (x Experiment) compiled(r *core.Routing) *core.CompiledRouting {
 	return c
 }
 
-// deterministicSelector reports whether sel ignores its RNG.
-func deterministicSelector(sel core.Selector) bool {
-	switch sel.(type) {
-	case core.DModK, core.SModK, core.Shift1, core.Disjoint, core.UMulti:
-		return true
-	}
-	return false
-}
-
 // Run executes the experiment and returns the sampling result; the
 // accumulator's mean is the paper's "Average of Maximum Load".
 func (x Experiment) Run() stats.AdaptiveResult {
 	seeds := x.Seeds
 	if len(seeds) == 0 {
-		if deterministicSelector(x.Sel) {
+		if core.ClosedForm(x.Sel) {
 			seeds = []int64{0}
 		} else {
 			seeds = []int64{101, 202, 303, 404, 505}
@@ -474,7 +460,6 @@ func (x Experiment) runBlock(seeds []int64) stats.AdaptiveResult {
 		SegmentBytes:  x.Block.SegmentBytes,
 		ResidentBytes: resident,
 		Cache:         x.Block.Cache,
-		Prefetch:      x.Block.Prefetch,
 	}
 	k := x.K
 	if mp := x.Topo.MaxPaths(); k <= 0 || k > mp {

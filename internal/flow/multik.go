@@ -442,7 +442,7 @@ type MultiKExperiment struct {
 func (x MultiKExperiment) Run() stats.AdaptiveVecResult {
 	seeds := x.Seeds
 	if len(seeds) == 0 {
-		if deterministicSelector(x.Sel) {
+		if core.ClosedForm(x.Sel) {
 			seeds = []int64{0}
 		} else {
 			seeds = []int64{101, 202, 303, 404, 505}

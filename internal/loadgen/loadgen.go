@@ -112,11 +112,12 @@ const (
 // and reusable request scratch (URL and batch-body buffers), so the
 // measurement loop itself allocates as little as possible.
 type worker struct {
-	cfg  *Config
-	rng  *rand.Rand
-	hist stats.DurationHist
-	url  []byte
-	body bytes.Buffer
+	cfg      *Config
+	patterns []string // maxload patterns valid on the fabric
+	rng      *rand.Rand
+	hist     stats.DurationHist
+	url      []byte
+	body     bytes.Buffer
 
 	requests int64
 	pairs    int64
@@ -140,7 +141,17 @@ func (w *worker) draw() reqKind {
 	return kindMaxLoad
 }
 
-var maxloadPatterns = []string{"shift", "random", "bitcomp"}
+// maxloadPatterns lists the patterns a maxload request may draw on a
+// fabric of the given size. Bit-complement exists only for
+// power-of-two sizes (traffic.BitComplement); on any other fabric the
+// server answers it 400 every time, which would be the generator's
+// error, not the server's.
+func maxloadPatterns(endpoints int) []string {
+	if endpoints&(endpoints-1) != 0 {
+		return []string{"shift", "random"}
+	}
+	return []string{"shift", "random", "bitcomp"}
+}
 
 // issue sends one request and reports whether it succeeded; the
 // response body is drained so the connection is reused. A 429 from the
@@ -173,7 +184,7 @@ func (w *worker) issue(ctx context.Context, kind reqKind) bool {
 		w.url = append(w.url, "/fabrics/"...)
 		w.url = append(w.url, cfg.Fabric...)
 		w.url = append(w.url, "/maxload?pattern="...)
-		w.url = append(w.url, maxloadPatterns[w.rng.Intn(len(maxloadPatterns))]...)
+		w.url = append(w.url, w.patterns[w.rng.Intn(len(w.patterns))]...)
 		w.url = append(w.url, "&arg="...)
 		w.url = strconv.AppendInt(w.url, int64(1+w.rng.Intn(cfg.Endpoints-1)), 10)
 		method, url = "GET", string(w.url)
@@ -291,9 +302,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		churn.start(ctx, &cfg)
 	}
 
+	patterns := maxloadPatterns(cfg.Endpoints)
 	workers := make([]*worker, cfg.Concurrency)
 	for i := range workers {
-		workers[i] = &worker{cfg: &cfg, rng: stats.Stream(cfg.Seed, int64(i))}
+		workers[i] = &worker{cfg: &cfg, patterns: patterns, rng: stats.Stream(cfg.Seed, int64(i))}
 	}
 
 	// remaining caps total requests when cfg.Requests > 0.

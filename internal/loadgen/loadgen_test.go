@@ -86,6 +86,37 @@ func TestRunBatchAndMaxLoad(t *testing.T) {
 	}
 }
 
+// TestMaxLoadOnNonPowerOfTwoFabric pins the pattern draw: on a fabric
+// whose endpoint count is not a power of two the maxload mix must not
+// request bit-complement (which the server rightly refuses there), so
+// no request fails.
+func TestMaxLoadOnNonPowerOfTwoFabric(t *testing.T) {
+	s, err := serve.New(serve.Config{
+		Fabrics: []serve.FabricSpec{{Name: "odd", XGFT: "2;4,3;1,4", Scheme: "disjoint", K: 4, Seed: 2012}},
+		Dir:     t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	s.Start(ctx)
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	res, err := Run(context.Background(), Config{
+		BaseURL: hs.URL, Fabric: "odd", Endpoints: 12,
+		Concurrency: 2, Requests: 120, Seed: 4,
+		Mix: Mix{MaxLoad: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Requests != 120 {
+		t.Fatalf("%d of %d maxload requests failed on a 12-endpoint fabric: %v", res.Errors, res.Requests, res)
+	}
+}
+
 func TestRunOpenLoop(t *testing.T) {
 	url := bootServer(t)
 	res, err := Run(context.Background(), Config{
