@@ -73,12 +73,14 @@ endif
 
 # What a CI gate should run: static checks, the race-instrumented
 # short test suite (includes the shared compiled-table race test),
-# targeted race coverage of the repair and watchdog paths, the
+# targeted race coverage of the repair and watchdog paths and of
+# MultiKExperiment's evaluator pool shared across seeds, the
 # allocation pins guarding the metrics and evaluation hot paths, the
 # multi-K correctness gates (selector prefix nesting, the multi-K
 # vs per-K differentials, the vector sampler's scalar equivalence),
 # the race-instrumented control-plane suite (journal replay, churn
-# soak, degradation ladder), the race-enabled in-process servebench
+# soak, degradation ladder), ten seconds of fuzzing the binary batch
+# frame decoder from its checked-in corpus, the race-enabled in-process servebench
 # smoke (closed/open-loop load harness against a live server), plus
 # the kill -9 crash-recovery run of the real xgftserve binary, and a
 # quick-scale smoke run that must produce a manifest.json with the
@@ -92,8 +94,9 @@ endif
 # temporary directory that is removed on exit.
 ci: vet
 	$(GO) test -short -race ./...
-	$(GO) test -race -run 'Repair|Wedge|Drain|Degraded|Failure' ./internal/core ./internal/flit ./internal/flow ./internal/lid
+	$(GO) test -race -run 'Repair|Wedge|Drain|Degraded|Failure|MultiKExperiment' ./internal/core ./internal/flit ./internal/flow ./internal/lid
 	$(GO) test -race -count=1 ./internal/serve/...
+	$(GO) test -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime 10s ./internal/serve
 	$(GO) test -race -count=1 -run 'TestServeBenchSmoke' ./internal/loadgen
 	$(GO) test -count=1 -run 'TestKillDashNineRecovery' ./cmd/xgftserve
 	$(GO) test -run 'Alloc' -count=1 ./internal/obs ./internal/core ./internal/flit ./internal/flow ./internal/serve ./internal/stats

@@ -148,29 +148,22 @@ func PathLinksForIndex(t *topology.Topology, src, dst, idx int, buf []topology.L
 // AppendPathSetLinks appends the directed links of every path index in
 // idxs for the SD pair to buf (2k links per path, in idxs order) and
 // returns the extended slice. It is equivalent to PathLinksForIndex in
-// a loop, but hoists the pair-invariant work — NCA level, radix
-// lookups, index validation — out of the per-path iteration, which is
-// what the flow evaluator's sampling loop and CompileRouting's fill
-// pass want: they expand K paths for each of N (or N²) pairs.
+// a loop, but everything that depends only on the pair — NCA level,
+// index bound, the per-level edge bases of src and dst — is computed
+// once (topology.AppendPathSetLinksNCA) and each path only adds its
+// digit offsets. That is what the flow evaluators' sampling loops and
+// CompileRouting's fill pass want: they expand K paths for each of N
+// (or N²) pairs.
 func AppendPathSetLinks(t *topology.Topology, src, dst int, idxs []int, buf []topology.LinkID) []topology.LinkID {
 	if len(idxs) == 0 {
 		return buf
 	}
 	k := t.NCALevel(src, dst)
 	x := t.WProd(k)
-	var w, up [17]int
-	for j := 1; j <= k; j++ {
-		w[j] = t.W(j)
-	}
 	for _, idx := range idxs {
 		if idx < 0 || idx >= x {
 			panic(fmt.Sprintf("core: path index %d out of range [0,%d)", idx, x))
 		}
-		for j := k; j >= 1; j-- {
-			up[j-1] = idx % w[j]
-			idx /= w[j]
-		}
-		buf = t.AppendPathLinksNCA(buf, src, dst, k, up[:k])
 	}
-	return buf
+	return t.AppendPathSetLinksNCA(buf, src, dst, k, idxs)
 }

@@ -274,3 +274,57 @@ func TestPathLinksForIndexQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendPathSetLinksMatchesPerPath pins the pair-hoisted set
+// expansion against decoding each index and calling
+// AppendPathLinksNCA, for every pair and every path index on two
+// asymmetric fabrics — one with w₁ > 1, where the source and
+// destination bases at level 1 are not the processor's own links — and
+// on sampled pairs of Figure 4 panel d. Each set is expanded in a
+// scrambled index order onto a non-empty buffer.
+func TestAppendPathSetLinksMatchesPerPath(t *testing.T) {
+	check := func(tp *topology.Topology, src, dst int) {
+		k := tp.NCALevel(src, dst)
+		x := tp.WProd(k)
+		idxs := make([]int, x)
+		for i := range idxs {
+			idxs[i] = (i*7 + 3) % x
+		}
+		if x%7 == 0 {
+			for i := range idxs {
+				idxs[i] = x - 1 - i
+			}
+		}
+		prefix := []topology.LinkID{-1}
+		var want []topology.LinkID
+		want = append(want, prefix...)
+		for _, idx := range idxs {
+			want = tp.AppendPathLinksNCA(want, src, dst, k, DecodePathIndex(tp, k, idx, nil))
+		}
+		got := AppendPathSetLinks(tp, src, dst, idxs, append([]topology.LinkID(nil), prefix...))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s pair (%d,%d): set expansion %v, per-path %v", tp, src, dst, got, want)
+		}
+	}
+	for _, tp := range []*topology.Topology{
+		topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3}),
+		topology.MustNew(3, []int{4, 3, 2}, []int{1, 2, 3}),
+	} {
+		n := tp.NumProcessors()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src != dst {
+					check(tp, src, dst)
+				}
+			}
+		}
+	}
+	panelD := topology.MustNew(3, []int{12, 12, 24}, []int{1, 12, 12})
+	n := panelD.NumProcessors()
+	for i := 0; i < 300; i++ {
+		src, dst := (i*1237+11)%n, (i*733+500)%n
+		if src != dst {
+			check(panelD, src, dst)
+		}
+	}
+}

@@ -15,13 +15,22 @@ import (
 // grid. It exploits the selectors' prefix-nesting guarantee
 // (core.PrefixNested): a pair's path set at limit K is a prefix of its
 // set at K+1, so one derivation of the longest needed prefix serves
-// every K column. Per pair it accumulates link-hit counts path by
-// path and, at each K boundary of the grid, folds count·amount/min(K,X)
-// into that K's load vector; columns whose boundary reaches a level's
-// full path count replay that level's X paths with direct adds (the
-// same adds, in the same order, as a per-K evaluator). Touched-link
-// lists replace the O(numLinks) clear and the maximum is folded into
-// accumulation.
+// every K column.
+//
+// The walk counts, then divides. A column's divisor b = min(K, X_λ)
+// depends only on the pair's NCA level λ, so the load column j puts on
+// link l is Σ_λ H_λ(l, b_{j,λ}) / b_{j,λ}, where H_λ(l, b) sums the
+// amounts of level-λ pairs over their hits on l among their first b
+// paths. Per flow the evaluator therefore adds the amount once per
+// path hit into a per-(link, bucket) histogram — bucket q of level λ
+// holds path positions [bounds[q-1], bounds[q]) of that level's
+// distinct boundaries, full-set columns being just its last bucket —
+// and per sample one finalize pass over the touched links turns each
+// link's per-level prefix sums into every column's load, folds the
+// maximum and clears the link. Per-K evaluators add amount/b per hit
+// instead; the two agree to ulp-level rounding, and exactly whenever
+// the sums are integers divided by 1 (single-path columns under
+// permutations).
 //
 // Columns whose effective path count is the full X at EVERY NCA level
 // (K >= MaxPaths for limited schemes; always for UMULTI) route exactly
@@ -29,8 +38,7 @@ import (
 // XGFTs. Those columns skip the per-pair walk entirely: one
 // subtree-cut optimalLoad pass per call produces their value, turning
 // the grid's most expensive column (X paths per pair) into its
-// cheapest. The result is bit-identical to OptimalLoad and agrees
-// with a per-K evaluator's repeated-add MLOAD to ulp-level rounding.
+// cheapest. The result is bit-identical to OptimalLoad.
 //
 // The evaluator reuses all scratch across calls and is not safe for
 // concurrent use; create one per goroutine (see MultiKExperiment).
@@ -46,28 +54,29 @@ type MultiKEvaluator struct {
 	// value is OLOAD (Theorem 1) — computed per call, never walked.
 	oload []bool
 
-	numLinks int
-	backing  []float64   // len(ks)·numLinks load entries
-	rows     [][]float64 // rows[j] = backing row of ks[j]
+	// hist holds nb buckets per link: hist[l·nb + plans[λ].off + q] is
+	// link l's level-λ bucket q. It is all zero between calls; finalize
+	// clears what a call touched.
+	hist []float64
+	nb   int
 
-	// Per-sample touched bookkeeping: stamp[l] == epoch marks that some
-	// row loaded link l this sample; touched lists those links so the
-	// next call clears only them (in every still-active row).
-	stamp   []uint32
-	epoch   uint32
-	touched []int32
+	// stamp[l] == epoch marks link l as touched this call; finalize
+	// visits those links in ID order, so it streams through hist.
+	stamp []uint32
+	epoch uint32
 
-	// Per-pair prefix counting scratch.
-	counts      []int32
-	pairTouched []int32
+	plans []multiKPlan // indexed by NCA level
+	// at[j·h + λ-1] is the bucket holding walked column j's load share
+	// at level λ. cols lists this call's active walked columns and mx
+	// their maxima.
+	at   []int
+	cols []int
+	mx   []float64
 
-	plans []multiKPlan // indexed by NCA level, rebuilt per call
-
-	pathBuf     []int
-	linkBuf     []topology.LinkID
-	fullLinkBuf []topology.LinkID
-	allActive   []bool
-	opt         optScratch
+	pathBuf   []int
+	linkBuf   []topology.LinkID
+	allActive []bool
+	opt       optScratch
 }
 
 // selClass tells how a scheme's effective per-pair path count depends
@@ -91,25 +100,18 @@ func classify(sel core.Selector) selClass {
 	return classLimited
 }
 
-// multiKPlan is the per-NCA-level evaluation plan for one MaxLoads
-// call: which active K columns fold at which path-count boundary (all
-// boundaries < X, ascending, rows grouped per boundary), which active
-// columns use the full X-path set, and how long the derived prefix
-// must be.
+// multiKPlan is one NCA level's bucket layout: the distinct effective
+// path counts of the grid's walked columns, ascending, and where the
+// level's buckets start in a link's histogram row. The layout is fixed
+// at construction, so a column's load does not depend on which other
+// columns are frozen; nq is how many buckets the current call fills
+// (up to the largest active column's).
 type multiKPlan struct {
 	x      int
-	stride int   // links per path segment (2·level)
-	allIdx []int // canonical 0..x-1, for the lazy full-set pass
-	bPre   int   // longest prefix any fold boundary needs (0: none)
-	bounds []foldBound
-	full   []int
-
-	boundsStore []foldBound
-}
-
-type foldBound struct {
-	b    int
-	rows []int
+	stride int // links per path segment (2·level)
+	off    int
+	bounds []int
+	nq     int
 }
 
 // NewMultiKEvaluator creates a lazy multi-K evaluator for the routing
@@ -120,7 +122,6 @@ type foldBound struct {
 func NewMultiKEvaluator(r *core.Routing, ks []int) *MultiKEvaluator {
 	e := newMultiK(r.Topology(), r.Selector(), ks)
 	e.r = r
-	e.ps = core.NewPathScratch()
 	return e
 }
 
@@ -128,8 +129,8 @@ func NewMultiKEvaluator(r *core.Routing, ks []int) *MultiKEvaluator {
 // shared compiled table c, which must hold a healthy routing compiled
 // with a path limit of at least the grid's largest K (so that every
 // prefix the grid needs is materialized). The table's path-major
-// layout (CompiledRouting.PairPathLinks) makes each fold a contiguous
-// scan.
+// layout (CompiledRouting.PairPathLinks) makes each bucket a
+// contiguous scan.
 func NewCompiledMultiKEvaluator(c *core.CompiledRouting, ks []int) *MultiKEvaluator {
 	if c.Repaired() != nil {
 		panic("flow: MultiKEvaluator requires a healthy compiled table (repaired path sets are not K-nested)")
@@ -155,43 +156,41 @@ func newMultiK(t *topology.Topology, sel core.Selector, ks []int) *MultiKEvaluat
 	if !core.PrefixNested(sel) {
 		panic(fmt.Sprintf("flow: selector %s does not guarantee prefix nesting; MultiKEvaluator requires it", sel.Name()))
 	}
-	nK := len(ks)
-	nL := t.NumLinks()
+	nK, h := len(ks), t.H()
 	e := &MultiKEvaluator{
-		topo:     t,
-		ks:       append([]int(nil), ks...),
-		class:    classify(sel),
-		numLinks: nL,
-		backing:  make([]float64, nK*nL),
-		rows:     make([][]float64, nK),
-		stamp:    make([]uint32, nL),
-		counts:   make([]int32, nL),
-		plans:    make([]multiKPlan, t.H()+1),
-		allActive: func() []bool {
-			a := make([]bool, nK)
-			for i := range a {
-				a[i] = true
-			}
-			return a
-		}(),
+		topo:      t,
+		ks:        append([]int(nil), ks...),
+		class:     classify(sel),
+		ps:        core.NewPathScratch(),
+		stamp:     make([]uint32, t.NumLinks()),
+		plans:     make([]multiKPlan, h+1),
+		oload:     make([]bool, nK),
+		allActive: make([]bool, nK),
+		at:        make([]int, nK*h),
+		mx:        make([]float64, nK),
 	}
-	for j := range e.rows {
-		e.rows[j] = e.backing[j*nL : (j+1)*nL]
-	}
-	e.oload = make([]bool, nK)
 	for j, k := range ks {
 		e.oload[j] = e.effCount(k, t.MaxPaths()) == t.MaxPaths()
+		e.allActive[j] = true
 	}
-	for lev := 1; lev <= t.H(); lev++ {
+	for lev := 1; lev <= h; lev++ {
 		p := &e.plans[lev]
 		p.x = t.WProd(lev)
 		p.stride = 2 * lev
-		p.allIdx = make([]int, p.x)
-		for i := range p.allIdx {
-			p.allIdx[i] = i
+		p.off = e.nb
+		for j, k := range ks {
+			if e.oload[j] {
+				continue
+			}
+			// ks ascending ⇒ effective counts non-decreasing.
+			if b := e.effCount(k, p.x); len(p.bounds) == 0 || p.bounds[len(p.bounds)-1] != b {
+				p.bounds = append(p.bounds, b)
+			}
+			e.at[j*h+lev-1] = p.off + len(p.bounds) - 1
 		}
-		p.boundsStore = make([]foldBound, nK)
+		e.nb += len(p.bounds)
 	}
+	e.hist = make([]float64, t.NumLinks()*e.nb)
 	return e
 }
 
@@ -207,49 +206,14 @@ func (e *MultiKEvaluator) effCount(k, x int) int {
 	case classUnlimited:
 		return x
 	}
-	if k > x {
-		return x
-	}
-	return k
-}
-
-// buildPlans groups the active K columns of every NCA level into fold
-// boundaries (< X) and full-set columns (= X) for this call.
-func (e *MultiKEvaluator) buildPlans(active []bool) {
-	for lev := 1; lev < len(e.plans); lev++ {
-		p := &e.plans[lev]
-		p.bounds = p.boundsStore[:0]
-		p.full = p.full[:0]
-		p.bPre = 0
-		for j, k := range e.ks {
-			if !active[j] || e.oload[j] {
-				continue
-			}
-			b := e.effCount(k, p.x)
-			if b >= p.x {
-				p.full = append(p.full, j)
-				continue
-			}
-			if n := len(p.bounds); n > 0 && p.bounds[n-1].b == b {
-				p.bounds[n-1].rows = append(p.bounds[n-1].rows, j)
-			} else {
-				p.bounds = p.boundsStore[:n+1]
-				fb := &p.bounds[n]
-				fb.b = b
-				fb.rows = append(fb.rows[:0], j)
-			}
-			p.bPre = b // ks ascending ⇒ boundaries non-decreasing
-		}
-	}
+	return min(k, x)
 }
 
 // MaxLoads computes MLOAD at every active K of the grid under tm,
 // writing out[j] for each j with active[j] true and leaving frozen
-// entries untouched (nil active means all). The active set must be
-// non-increasing across calls on one evaluator — a column, once
-// frozen, must stay frozen (this matches stats.SampleAdaptiveVec) —
-// because frozen rows keep their stale loads and are excluded from the
-// touched-link clearing.
+// entries untouched (nil active means all). An active column's value
+// is bitwise independent of which other columns are active, so the
+// active set may change freely between calls.
 func (e *MultiKEvaluator) MaxLoads(tm *traffic.Matrix, active []bool, out []float64) {
 	if tm.N != e.topo.NumProcessors() {
 		panic(fmt.Sprintf("flow: traffic matrix over %d nodes, topology has %d", tm.N, e.topo.NumProcessors()))
@@ -257,23 +221,20 @@ func (e *MultiKEvaluator) MaxLoads(tm *traffic.Matrix, active []bool, out []floa
 	if active == nil {
 		active = e.allActive
 	}
-	nAct, nWalk, nOpt := 0, 0, 0
+	nAct := 0
+	e.cols = e.cols[:0]
 	for j, a := range active {
-		if !a {
-			continue
-		}
-		nAct++
-		if e.oload[j] {
-			nOpt++
-		} else {
-			nWalk++
+		if a {
+			nAct++
+			if !e.oload[j] {
+				e.cols = append(e.cols, j)
+			}
 		}
 	}
 	met.multikWalks.Inc()
 	met.multikColumns.Add(int64(nAct))
-	// Theorem-1 columns: one subtree-cut pass serves them all; their
-	// load rows stay untouched (always zero).
-	if nOpt > 0 {
+	// Theorem-1 columns: one subtree-cut pass serves them all.
+	if len(e.cols) < nAct {
 		ol := e.opt.optimalLoad(e.topo, tm)
 		for j := range e.ks {
 			if active[j] && e.oload[j] {
@@ -281,129 +242,83 @@ func (e *MultiKEvaluator) MaxLoads(tm *traffic.Matrix, active []bool, out []floa
 			}
 		}
 	}
-	if nWalk == 0 {
+	if len(e.cols) == 0 {
 		return
 	}
 	met.pairsEvaluated.Add(int64(len(tm.Flows())))
-	// Clear only what the previous sample loaded, in the rows that are
-	// still live, then stamp a fresh epoch.
-	for j := range e.ks {
-		if !active[j] || e.oload[j] {
-			continue
-		}
-		row := e.rows[j]
-		for _, l := range e.touched {
-			row[l] = 0
-		}
-		out[j] = 0
-	}
-	e.touched = e.touched[:0]
 	e.epoch++
 	if e.epoch == 0 { // wrapped: stamps from the old era are ambiguous
-		for i := range e.stamp {
-			e.stamp[i] = 0
-		}
+		clear(e.stamp)
 		e.epoch = 1
 	}
-	e.buildPlans(active)
+	h, last := len(e.plans)-1, e.cols[len(e.cols)-1]
+	for lev := 1; lev <= h; lev++ {
+		p := &e.plans[lev]
+		p.nq = e.at[last*h+lev-1] - p.off + 1
+	}
 	for _, f := range tm.Flows() {
-		e.evalPair(f.Src, f.Dst, f.Amount, out)
-	}
-}
-
-func (e *MultiKEvaluator) evalPair(src, dst int, amount float64, out []float64) {
-	p := &e.plans[e.topo.NCALevel(src, dst)]
-	if len(p.bounds) > 0 {
+		p := &e.plans[e.topo.NCALevel(f.Src, f.Dst)]
 		if e.c != nil {
-			links, _, _ := e.c.PairPathLinks(src, dst)
-			walkBounds(e, p, links, amount, out)
+			links, _, _ := e.c.PairPathLinks(f.Src, f.Dst)
+			countHits(e, p, links, f.Amount)
 		} else {
-			e.pathBuf = e.r.AppendPathsLimitedScratch(e.ps, e.pathBuf[:0], src, dst, p.bPre)
-			e.linkBuf = core.AppendPathSetLinks(e.topo, src, dst, e.pathBuf, e.linkBuf[:0])
-			walkBounds(e, p, e.linkBuf, amount, out)
+			e.pathBuf = e.r.AppendPathsLimitedScratch(e.ps, e.pathBuf[:0], f.Src, f.Dst, p.bounds[p.nq-1])
+			e.linkBuf = core.AppendPathSetLinks(e.topo, f.Src, f.Dst, e.pathBuf, e.linkBuf[:0])
+			countHits(e, p, e.linkBuf, f.Amount)
 		}
 	}
-	if len(p.full) > 0 {
-		share := amount / float64(p.x)
-		if e.c != nil {
-			links, _, _ := e.c.PairPathLinks(src, dst)
-			for _, row := range p.full {
-				addFull(e, row, links, share, out)
-			}
-		} else {
-			e.fullLinkBuf = core.AppendPathSetLinks(e.topo, src, dst, p.allIdx, e.fullLinkBuf[:0])
-			for _, row := range p.full {
-				addFull(e, row, e.fullLinkBuf, share, out)
-			}
-		}
-	}
+	e.finalize(out)
 }
 
-// walkBounds advances the pair's per-link hit counts boundary by
-// boundary and folds count·amount/b into every row grouped at each
-// boundary b. links must cover at least p.bPre path segments of
-// p.stride links each.
-func walkBounds[L ~int | ~int32](e *MultiKEvaluator, p *multiKPlan, links []L, amount float64, out []float64) {
+// countHits adds amount into the histogram bucket of every link hit of
+// the pair's first bounds[nq-1] paths. links must cover at least that
+// many path segments of p.stride links each.
+func countHits[L ~int | ~int32](e *MultiKEvaluator, p *multiKPlan, links []L, amount float64) {
+	hist, stamp, epoch, nb := e.hist, e.stamp, e.epoch, e.nb
 	prev := 0
-	for bi := range p.bounds {
-		fb := &p.bounds[bi]
-		for _, l := range links[prev*p.stride : fb.b*p.stride] {
-			if e.counts[l] == 0 {
-				e.pairTouched = append(e.pairTouched, int32(l))
-			}
-			e.counts[l]++
+	for q, b := range p.bounds[:p.nq] {
+		at := p.off + q
+		for _, l := range links[prev*p.stride : b*p.stride] {
+			stamp[l] = epoch
+			hist[int(l)*nb+at] += amount
 		}
-		prev = fb.b
-		share := amount / float64(fb.b)
-		for _, row := range fb.rows {
-			loads := e.rows[row]
-			mx := out[row]
-			for _, l := range e.pairTouched {
-				if e.stamp[l] != e.epoch {
-					e.stamp[l] = e.epoch
-					e.touched = append(e.touched, l)
-				}
-				v := loads[l] + float64(e.counts[l])*share
-				loads[l] = v
-				if v > mx {
-					mx = v
-				}
-			}
-			out[row] = mx
-		}
+		prev = b
 	}
-	for _, l := range e.pairTouched {
-		e.counts[l] = 0
-	}
-	e.pairTouched = e.pairTouched[:0]
 }
 
-// addFull replays the pair's full path set into one row with direct
-// per-link adds — the same adds, in the same order, as a per-K
-// evaluator at any K >= X performs, so full-set columns stay
-// bit-identical to per-cell evaluation.
-func addFull[L ~int | ~int32](e *MultiKEvaluator, row int, links []L, share float64, out []float64) {
-	loads := e.rows[row]
-	mx := out[row]
-	for _, l := range links {
-		if e.stamp[l] != e.epoch {
-			e.stamp[l] = e.epoch
-			e.touched = append(e.touched, int32(l))
+// finalize turns every touched link's filled buckets into per-level
+// prefix sums divided by their boundary, sums each active column's
+// level terms (in level order) into its load on the link, folds the
+// maxima and clears the link.
+func (e *MultiKEvaluator) finalize(out []float64) {
+	h := len(e.plans) - 1
+	mx := e.mx[:len(e.cols)]
+	clear(mx)
+	for l, st := range e.stamp {
+		if st != e.epoch {
+			continue
 		}
-		v := loads[l] + share
-		loads[l] = v
-		if v > mx {
-			mx = v
+		row := e.hist[l*e.nb : (l+1)*e.nb]
+		for _, p := range e.plans[1:] {
+			sum := 0.0
+			for q, b := range p.bounds[:p.nq] {
+				sum += row[p.off+q]
+				row[p.off+q] = sum / float64(b)
+			}
 		}
+		for c, j := range e.cols {
+			v := 0.0
+			for _, at := range e.at[j*h : j*h+h] {
+				v += row[at]
+			}
+			mx[c] = max(mx[c], v)
+		}
+		clear(row)
 	}
-	out[row] = mx
+	for c, j := range e.cols {
+		out[j] = mx[c]
+	}
 }
-
-// Loads returns the load vector of the given K column as computed by
-// the most recent MaxLoads call (valid until the next call; the slice
-// is owned by the evaluator). Theorem-1 columns are never walked, so
-// their rows stay all-zero. Intended for differential tests.
-func (e *MultiKEvaluator) Loads(j int) []float64 { return e.rows[j] }
 
 // OptimalLoad computes OLOAD(TM) reusing evaluator-resident scratch —
 // OLOAD is routing-independent, so one call serves every K column of a
@@ -418,10 +333,10 @@ func (e *MultiKEvaluator) OptimalLoad(tm *traffic.Matrix) float64 {
 // vector adaptive sampler freezing each K's accumulator exactly where
 // an independent per-K run would have stopped. Per-K means, sample
 // counts and half-widths are therefore identical to running
-// flow.Experiment once per K up to ulp-level rounding: count-folded
-// prefix columns add count·share instead of count repeated shares,
-// and columns with K >= X at every level short-circuit to OLOAD
-// (Theorem 1) instead of replaying X paths per pair.
+// flow.Experiment once per K up to ulp-level rounding: the walk counts
+// hits per K bucket and divides once per sample instead of adding a
+// share per hit, and columns with K >= X at every level short-circuit
+// to OLOAD (Theorem 1) instead of replaying X paths per pair.
 type MultiKExperiment struct {
 	Topo *topology.Topology
 	Sel  core.Selector
@@ -449,18 +364,21 @@ func (x MultiKExperiment) Run() stats.AdaptiveVecResult {
 		}
 	}
 	kmax := x.Ks[len(x.Ks)-1]
-	pools := make([]*sync.Pool, len(seeds))
+	type source struct {
+		r *core.Routing
+		c *core.CompiledRouting
+	}
+	srcs := make([]source, len(seeds))
 	for i, s := range seeds {
 		r := core.NewRouting(x.Topo, x.Sel, kmax, s)
-		c := Experiment{Topo: x.Topo, Sel: x.Sel, K: kmax, Sampling: x.Sampling,
-			Compile: x.Compile, CompileBudget: x.CompileBudget}.compiled(r)
-		pools[i] = &sync.Pool{New: func() any {
-			if c != nil {
-				return NewCompiledMultiKEvaluator(c, x.Ks)
-			}
-			return NewMultiKEvaluator(r, x.Ks)
-		}}
+		srcs[i] = source{r, Experiment{Topo: x.Topo, Sel: x.Sel, K: kmax, Sampling: x.Sampling,
+			Compile: x.Compile, CompileBudget: x.CompileBudget}.compiled(r)}
 	}
+	// One pool for the cell, not one per seed: an evaluator's scratch
+	// holds no routing state between calls, so each pooled evaluator
+	// walks every seed's routing in turn and live scratch scales with
+	// concurrent walks only.
+	pool := sync.Pool{New: func() any { return newMultiK(x.Topo, x.Sel, x.Ks) }}
 	n := x.Topo.NumProcessors()
 	nK := len(x.Ks)
 	tmpPool := sync.Pool{New: func() any { s := make([]float64, nK); return &s }}
@@ -474,20 +392,21 @@ func (x MultiKExperiment) Run() stats.AdaptiveVecResult {
 		}
 		tp := tmpPool.Get().(*[]float64)
 		tmp := *tp
-		for _, p := range pools {
-			ev := p.Get().(*MultiKEvaluator)
+		ev := pool.Get().(*MultiKEvaluator)
+		for _, s := range srcs {
+			ev.r, ev.c = s.r, s.c
 			ev.MaxLoads(tm, active, tmp)
-			p.Put(ev)
 			for j := range out {
 				if active[j] {
 					out[j] += tmp[j]
 				}
 			}
 		}
+		pool.Put(ev)
 		tmpPool.Put(tp)
 		for j := range out {
 			if active[j] {
-				out[j] /= float64(len(pools))
+				out[j] /= float64(len(srcs))
 			}
 		}
 	}

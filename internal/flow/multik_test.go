@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -20,102 +21,60 @@ func relDiff(a, b float64) float64 {
 
 // TestMultiKEvaluatorMatchesPerK pins the multi-K evaluator against
 // independent per-K evaluators on every scheme class and both
-// backends: each K column's MLOAD must agree within 1e-12 (count
-// folding / the Theorem-1 OLOAD shortcut vs repeated adds), and
-// columns whose effective count is X at every level must be
-// bit-identical to OptimalLoad (they are computed by the same
-// subtree-cut pass, never walked).
+// backends, under permutations and under mixed-amount demands, on
+// grids that include non-power-of-two K values: each K column's MLOAD
+// must agree within 1e-12 (count-then-divide / the Theorem-1 OLOAD
+// shortcut vs repeated adds), columns whose effective count is X at
+// every level must be bit-identical to OptimalLoad (they are computed
+// by the same subtree-cut pass, never walked), and the lazy and
+// compiled sources must agree bit for bit (they feed the same hits in
+// the same order).
 func TestMultiKEvaluatorMatchesPerK(t *testing.T) {
-	topos := []*topology.Topology{
-		topology.MustNew(2, []int{4, 8}, []int{1, 4}),       // X = 4
-		topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3}), // X = 12, multi-level
-		topology.MustNew(2, []int{5, 20}, []int{1, 18}),     // X = 18, sparse random regime
-	}
+	grids := append([]struct {
+		topo *topology.Topology
+		ks   []int
+	}{
+		{topology.MustNew(2, []int{4, 8}, []int{1, 4}), []int{1, 2, 3, 4}},            // X = 4
+		{topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3}), []int{1, 2, 3, 11, 12}}, // X = 12, multi-level
+		{topology.MustNew(2, []int{5, 20}, []int{1, 18}), []int{1, 2, 3, 17, 18}},     // X = 18, sparse random regime
+	}, multiKGrids...)
 	sels := []core.Selector{core.Shift1{}, core.Disjoint{}, core.RandomK{}, core.DModK{}, core.UMulti{}}
-	for _, tp := range topos {
-		maxX := tp.MaxPaths()
-		ks := []int{1, 2, 3}
-		if maxX > 4 {
-			ks = append(ks, maxX-1)
-		}
-		ks = append(ks, maxX)
+	for _, g := range grids {
+		tp, ks := g.topo, g.ks
 		n := tp.NumProcessors()
 		for _, sel := range sels {
-			lazy := NewMultiKEvaluator(core.NewRouting(tp, sel, ks[len(ks)-1], 7), ks)
-			c, err := core.CompileRouting(core.NewRouting(tp, sel, ks[len(ks)-1], 7), 1<<30)
-			if err != nil {
-				t.Fatalf("%s on %s: compile: %v", sel.Name(), tp, err)
-			}
-			comp := NewCompiledMultiKEvaluator(c, ks)
+			lazy, comp := newMultiKPair(t, tp, sel, ks, 7)
 			outL := make([]float64, len(ks))
 			outC := make([]float64, len(ks))
 			for sample := 0; sample < 4; sample++ {
 				rng := stats.Stream(99, int64(sample))
-				tm := traffic.FromPermutation(traffic.RandomPermutation(n, rng))
-				lazy.MaxLoads(tm, nil, outL)
-				comp.MaxLoads(tm, nil, outC)
-				for j, k := range ks {
-					ref := NewEvaluator(core.NewRouting(tp, sel, k, 7)).MaxLoad(tm)
-					if d := relDiff(outL[j], ref); d > 1e-12 {
-						t.Errorf("%s on %s K=%d sample %d: lazy multi-K %v vs per-K %v (rel %g)",
-							sel.Name(), tp, k, sample, outL[j], ref, d)
-					}
-					if d := relDiff(outC[j], ref); d > 1e-12 {
-						t.Errorf("%s on %s K=%d sample %d: compiled multi-K %v vs per-K %v (rel %g)",
-							sel.Name(), tp, k, sample, outC[j], ref, d)
-					}
-					_, isUMulti := sel.(core.UMulti)
-					if x := tp.MaxPaths(); (sel.MultiPath() && k >= x) || isUMulti {
-						opt := OptimalLoad(tp, tm)
-						if outL[j] != opt || outC[j] != opt {
-							t.Errorf("%s on %s K=%d (X=%d) sample %d: Theorem-1 column must equal OptimalLoad %v exactly, got lazy %v compiled %v",
-								sel.Name(), tp, k, x, sample, opt, outL[j], outC[j])
+				for _, tm := range []*traffic.Matrix{
+					traffic.FromPermutation(traffic.RandomPermutation(n, rng)),
+					mixedAmountMatrix(n, int64(sample)),
+				} {
+					lazy.MaxLoads(tm, nil, outL)
+					comp.MaxLoads(tm, nil, outC)
+					for j, k := range ks {
+						if outL[j] != outC[j] {
+							t.Errorf("%s on %s K=%d sample %d: lazy multi-K %v, compiled %v", sel.Name(), tp, k, sample, outL[j], outC[j])
+						}
+						ref := NewEvaluator(core.NewRouting(tp, sel, k, 7)).MaxLoad(tm)
+						if d := relDiff(outL[j], ref); d > 1e-12 {
+							t.Errorf("%s on %s K=%d sample %d: multi-K %v vs per-K %v (rel %g)",
+								sel.Name(), tp, k, sample, outL[j], ref, d)
+						}
+						_, isUMulti := sel.(core.UMulti)
+						if x := tp.MaxPaths(); (sel.MultiPath() && k >= x) || isUMulti {
+							if opt := OptimalLoad(tp, tm); outL[j] != opt {
+								t.Errorf("%s on %s K=%d (X=%d) sample %d: Theorem-1 column must equal OptimalLoad %v exactly, got %v",
+									sel.Name(), tp, k, x, sample, opt, outL[j])
+							}
 						}
 					}
+					if lazy.OptimalLoad(tm) != OptimalLoad(tp, tm) {
+						t.Errorf("OptimalLoad mismatch on %s", tp)
+					}
 				}
-				if lazy.OptimalLoad(tm) != OptimalLoad(tp, tm) {
-					t.Errorf("OptimalLoad mismatch on %s", tp)
-				}
-			}
-		}
-	}
-}
-
-// TestMultiKEvaluatorActiveFreezing checks that frozen columns are
-// skipped without corrupting the live ones across calls (the vector
-// sampler shrinks the active set monotonically).
-func TestMultiKEvaluatorActiveFreezing(t *testing.T) {
-	tp := topology.MustNew(3, []int{2, 2, 4}, []int{1, 2, 2})
-	ks := []int{1, 2, 4}
-	n := tp.NumProcessors()
-	ev := NewMultiKEvaluator(core.NewRouting(tp, core.Disjoint{}, 4, 3), ks)
-	ref := NewMultiKEvaluator(core.NewRouting(tp, core.Disjoint{}, 4, 3), ks)
-	active := []bool{true, true, true}
-	out := make([]float64, len(ks))
-	refOut := make([]float64, len(ks))
-	for sample := 0; sample < 6; sample++ {
-		if sample == 2 {
-			active[2] = false // freeze the largest K
-		}
-		if sample == 4 {
-			active[0] = false
-		}
-		rng := stats.Stream(5, int64(sample))
-		tm := traffic.FromPermutation(traffic.RandomPermutation(n, rng))
-		for j := range out {
-			out[j] = -1
-		}
-		ev.MaxLoads(tm, active, out)
-		ref.MaxLoads(tm, nil, refOut)
-		for j := range ks {
-			if !active[j] {
-				if out[j] != -1 {
-					t.Fatalf("sample %d: frozen column %d written: %v", sample, j, out[j])
-				}
-				continue
-			}
-			if out[j] != refOut[j] {
-				t.Fatalf("sample %d column %d: active-subset run %v vs full run %v", sample, j, out[j], refOut[j])
 			}
 		}
 	}
@@ -126,34 +85,41 @@ func TestMultiKEvaluatorActiveFreezing(t *testing.T) {
 // runs exactly — same sample counts (the vector sampler freezes each
 // component where a scalar run stops), same half-widths and
 // convergence flags, and means within 1e-12 — including when different
-// K columns converge after different numbers of batches.
+// K columns converge after different numbers of batches. Random-K
+// averages five seeds over two sampling workers on both sources, so
+// pooled evaluators walk every seed's routing concurrently (make ci
+// runs this under -race).
 func TestMultiKExperimentMatchesPerCell(t *testing.T) {
 	tp := topology.MustNew(3, []int{2, 2, 4}, []int{1, 2, 2})
 	ks := []int{1, 2, 3, 4}
 	cfg := stats.AdaptiveConfig{InitialSamples: 20, MaxSamples: 160, RelPrecision: 0.02, Parallelism: 2}
-	for _, sel := range []core.Selector{core.Disjoint{}, core.RandomK{}} {
-		vec := MultiKExperiment{Topo: tp, Sel: sel, Ks: ks, PermSeed: 42, Sampling: cfg}.Run()
+	for _, c := range []struct {
+		sel  core.Selector
+		mode CompileMode
+	}{{core.Disjoint{}, CompileAuto}, {core.RandomK{}, CompileAuto}, {core.RandomK{}, CompileNever}} {
+		sel, name := c.sel, fmt.Sprintf("%s (compile mode %d)", c.sel.Name(), c.mode)
+		vec := MultiKExperiment{Topo: tp, Sel: sel, Ks: ks, PermSeed: 42, Sampling: cfg, Compile: c.mode}.Run()
 		sawDifferentN := false
 		for j, k := range ks {
 			res := Experiment{Topo: tp, Sel: sel, K: k, PermSeed: 42, Sampling: cfg}.Run()
 			if got, want := vec.Accs[j].N(), res.Acc.N(); got != want {
-				t.Errorf("%s K=%d: multi-K sampled %d, per-cell %d", sel.Name(), k, got, want)
+				t.Errorf("%s K=%d: multi-K sampled %d, per-cell %d", name, k, got, want)
 			}
 			if d := relDiff(vec.Accs[j].Mean(), res.Acc.Mean()); d > 1e-12 {
-				t.Errorf("%s K=%d: multi-K mean %v vs per-cell %v (rel %g)", sel.Name(), k, vec.Accs[j].Mean(), res.Acc.Mean(), d)
+				t.Errorf("%s K=%d: multi-K mean %v vs per-cell %v (rel %g)", name, k, vec.Accs[j].Mean(), res.Acc.Mean(), d)
 			}
 			if d := relDiff(vec.HalfWidths[j], res.HalfWidth); d > 1e-9 {
-				t.Errorf("%s K=%d: multi-K half-width %v vs per-cell %v", sel.Name(), k, vec.HalfWidths[j], res.HalfWidth)
+				t.Errorf("%s K=%d: multi-K half-width %v vs per-cell %v", name, k, vec.HalfWidths[j], res.HalfWidth)
 			}
 			if vec.Converged[j] != res.Converged {
-				t.Errorf("%s K=%d: converged %v vs per-cell %v", sel.Name(), k, vec.Converged[j], res.Converged)
+				t.Errorf("%s K=%d: converged %v vs per-cell %v", name, k, vec.Converged[j], res.Converged)
 			}
 			if j > 0 && vec.Accs[j].N() != vec.Accs[0].N() {
 				sawDifferentN = true
 			}
 		}
 		if !sawDifferentN {
-			t.Logf("%s: all K columns converged at the same batch (freezing untested here)", sel.Name())
+			t.Logf("%s: all K columns converged at the same batch (freezing untested here)", name)
 		}
 	}
 }
@@ -248,14 +214,136 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: CompiledEvaluator.MaxLoad allocates %.1f/op in steady state", sel.Name(), got)
 		}
 		ks := []int{1, 2, 4, tp.MaxPaths()}
-		multi := NewMultiKEvaluator(core.NewRouting(tp, sel, tp.MaxPaths(), 1), ks)
+		lazyMulti, compMulti := newMultiKPair(t, tp, sel, ks, 1)
 		out := make([]float64, len(ks))
-		multi.MaxLoads(tms[0], nil, out)
-		if got := testing.AllocsPerRun(20, func() {
-			i++
-			multi.MaxLoads(tms[i%len(tms)], nil, out)
-		}); got != 0 {
-			t.Errorf("%s: MultiKEvaluator.MaxLoads allocates %.1f/op in steady state", sel.Name(), got)
+		for _, multi := range []*MultiKEvaluator{lazyMulti, compMulti} {
+			multi.MaxLoads(tms[0], nil, out)
+			if got := testing.AllocsPerRun(20, func() {
+				i++
+				multi.MaxLoads(tms[i%len(tms)], nil, out)
+			}); got != 0 {
+				t.Errorf("%s (compiled %v): MultiKEvaluator.MaxLoads allocates %.1f/op in steady state", sel.Name(), multi.c != nil, got)
+			}
+		}
+	}
+}
+
+// mixedAmountMatrix is a hand-built demand over n nodes whose flows
+// carry 0.25, 1 and 3 units in turn: a random permutation plus a
+// second, shifted flow from every third node (so sources repeat and a
+// link's hits mix amounts). Unlike a permutation it exercises the
+// kernel's amount weighting.
+func mixedAmountMatrix(n int, seed int64) *traffic.Matrix {
+	amounts := []float64{0.25, 1, 3}
+	tm := traffic.NewMatrix(n)
+	for src, dst := range traffic.RandomPermutation(n, stats.Stream(seed, 0)) {
+		if src != dst {
+			tm.Add(src, dst, amounts[src%3])
+		}
+	}
+	for src := 0; src < n; src += 3 {
+		if dst := (src + n/2 + 1) % n; dst != src {
+			tm.Add(src, dst, amounts[(src/3)%3])
+		}
+	}
+	return tm
+}
+
+// multiKGrids pairs two asymmetric fabrics with non-power-of-two K
+// grids. XGFT(3;2,3,2;2,2,3) has w₁ > 1 and X = 2, 4, 12 per level;
+// XGFT(3;4,3,2;1,2,3) has X = 1, 2, 6. Each grid crosses every level's
+// X and ends in a Theorem-1 column.
+var multiKGrids = []struct {
+	topo *topology.Topology
+	ks   []int
+}{
+	{topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3}), []int{1, 3, 5, 7, 11, 12}},
+	{topology.MustNew(3, []int{4, 3, 2}, []int{1, 2, 3}), []int{1, 3, 5, 7}},
+}
+
+// newMultiKPair builds the lazy and the compiled multi-K evaluator of
+// one routing.
+func newMultiKPair(t *testing.T, tp *topology.Topology, sel core.Selector, ks []int, seed int64) (lazy, comp *MultiKEvaluator) {
+	t.Helper()
+	r := core.NewRouting(tp, sel, ks[len(ks)-1], seed)
+	c, err := core.CompileRouting(r, 1<<30)
+	if err != nil {
+		t.Fatalf("%s on %s: compile: %v", sel.Name(), tp, err)
+	}
+	return NewMultiKEvaluator(r, ks), NewCompiledMultiKEvaluator(c, ks)
+}
+
+// TestMultiKEvaluatorActiveFreezing freezes columns in a
+// non-monotone order of K — a middle one, then the largest walked one,
+// then the smallest — on mixed-amount demands scaled by 0.1, whose
+// sums round: frozen entries stay untouched and every live column is
+// bit-identical to an all-active run, on both sources, because the
+// bucket layout does not depend on the active set (merging a frozen
+// column's bucket into its neighbour would change the rounding).
+func TestMultiKEvaluatorActiveFreezing(t *testing.T) {
+	g := multiKGrids[0]
+	n := g.topo.NumProcessors()
+	lazy, comp := newMultiKPair(t, g.topo, core.RandomK{}, g.ks, 9)
+	ref := NewMultiKEvaluator(core.NewRouting(g.topo, core.RandomK{}, g.ks[len(g.ks)-1], 9), g.ks)
+	freezeAt := map[int64]int{1: 2, 3: 4, 5: 0}
+	active := make([]bool, len(g.ks))
+	for j := range active {
+		active[j] = true
+	}
+	want := make([]float64, len(g.ks))
+	out := make([]float64, len(g.ks))
+	for sample := int64(0); sample < 7; sample++ {
+		if j, ok := freezeAt[sample]; ok {
+			active[j] = false
+		}
+		tm := mixedAmountMatrix(n, 40+sample)
+		tm.Scale(0.1)
+		ref.MaxLoads(tm, nil, want)
+		for _, ev := range []*MultiKEvaluator{lazy, comp} {
+			for j := range out {
+				out[j] = -1
+			}
+			ev.MaxLoads(tm, active, out)
+			for j := range g.ks {
+				switch {
+				case !active[j] && out[j] != -1:
+					t.Fatalf("sample %d: frozen column %d written: %v", sample, j, out[j])
+				case active[j] && out[j] != want[j]:
+					t.Fatalf("sample %d column %d: active-subset run %v vs all-active %v", sample, j, out[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestMultiKPooledEvaluatorAcrossSeeds is MultiKExperiment's sharing
+// rule: one evaluator walking two seeds' routings alternately (lazy and
+// compiled) returns bit for bit what a dedicated evaluator per seed
+// returns, so an evaluator carries nothing from one routing to the
+// next.
+func TestMultiKPooledEvaluatorAcrossSeeds(t *testing.T) {
+	g := multiKGrids[0]
+	n := g.topo.NumProcessors()
+	var lazy, comp [2]*MultiKEvaluator
+	for i := range lazy {
+		lazy[i], comp[i] = newMultiKPair(t, g.topo, core.RandomK{}, g.ks, int64(100+i))
+	}
+	shared := newMultiK(g.topo, core.RandomK{}, g.ks)
+	want := make([]float64, len(g.ks))
+	got := make([]float64, len(g.ks))
+	for sample := int64(0); sample < 6; sample++ {
+		tm := mixedAmountMatrix(n, sample)
+		for i := range lazy {
+			for _, ded := range []*MultiKEvaluator{lazy[i], comp[i]} {
+				ded.MaxLoads(tm, nil, want)
+				shared.r, shared.c = ded.r, ded.c
+				shared.MaxLoads(tm, nil, got)
+				for j, k := range g.ks {
+					if got[j] != want[j] {
+						t.Fatalf("sample %d seed %d K=%d compiled=%v: shared %v, dedicated %v", sample, i, k, ded.c != nil, got[j], want[j])
+					}
+				}
+			}
 		}
 	}
 }

@@ -289,6 +289,11 @@ func DecodeBatchFrame(data []byte) (*BatchFrame, error) {
 	}
 	count := binary.LittleEndian.Uint32(data[24:])
 	off := 28
+	// Every pair record takes at least 4 bytes; bound the claimed count
+	// by the frame size before allocating for it.
+	if count > uint32(len(data)-off)/4 {
+		return nil, fmt.Errorf("serve: batch frame claims %d pairs beyond frame end", count)
+	}
 	fr.Paths = make([][]uint32, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if off+4 > len(data) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -271,9 +272,47 @@ func TestDecodeBatchFrameErrors(t *testing.T) {
 	wrongVer := bytes.Clone(good)
 	wrongVer[4] = 99
 	bad = append(bad, wrongVer)
+	// A bare header claiming 2³²-1 pairs must be rejected before the
+	// decoder allocates for them.
+	huge := bytes.Clone(good[:28])
+	binary.LittleEndian.PutUint32(huge[24:], ^uint32(0))
+	bad = append(bad, huge)
 	for i, b := range bad {
 		if _, err := DecodeBatchFrame(b); err == nil {
 			t.Errorf("corrupt frame %d decoded without error", i)
 		}
 	}
+}
+
+// FuzzDecodeBatchFrame feeds DecodeBatchFrame arbitrary bytes, seeded
+// with frames the batch handler wrote (testdata/fuzz/FuzzDecodeBatchFrame:
+// healthy and k-limited batches, a self pair, a batch after a fault).
+// The decoder must reject with an error or decode, never panic. A
+// decoded frame holds exactly the header's pair count, its header
+// fields are the frame's, and its pair records tile the rest of the
+// input: re-encoding them reproduces the frame byte for byte.
+func FuzzDecodeBatchFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := DecodeBatchFrame(data)
+		if err != nil {
+			return
+		}
+		if got, want := len(fr.Paths), int(binary.LittleEndian.Uint32(data[24:])); got != want {
+			t.Fatalf("decoded %d pairs, header claims %d", got, want)
+		}
+		if fr.Gen != binary.LittleEndian.Uint64(data[8:]) || fr.Staleness != binary.LittleEndian.Uint64(data[16:]) ||
+			fr.Degraded != (data[5]&1 != 0) {
+			t.Fatalf("decoded header %+v does not match the frame's", fr)
+		}
+		re := bytes.Clone(data[:28])
+		for _, ids := range fr.Paths {
+			re = binary.LittleEndian.AppendUint32(re, uint32(len(ids)))
+			for _, id := range ids {
+				re = binary.LittleEndian.AppendUint32(re, id)
+			}
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("re-encoded frame differs from the %d decoded bytes", len(data))
+		}
+	})
 }

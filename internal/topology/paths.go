@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // A shortest path between processing nodes src and dst whose NCA is at
 // level k is fully determined by the k up-port choices u_1..u_k taken
@@ -99,6 +102,65 @@ func (t *Topology) AppendPathLinksNCA(buf []LinkID, src, dst, k int, up []int) [
 		buf = append(buf, LinkID(2*edge+1))
 	}
 	return buf
+}
+
+// AppendPathSetLinksNCA appends the 2k links of every canonical path
+// index in idxs (see core.DecodePathIndex) for a pair whose NCA level k
+// the caller has established, path-major in idxs order. It equals
+// decoding each index and calling AppendPathLinksNCA, factored as in
+// LinkExpander: the level-j link IDs of path idx are
+//
+//	up   = 2·(edgeOffset[j-1] + sHigh_j·WProd(j)) + off_j(idx)
+//	down = 2·(edgeOffset[j-1] + dHigh_j·WProd(j)) + 1 + off_j(idx)
+//
+// where the bases depend only on the pair, so they are computed once,
+// and off_j(idx) = 2·(uLow_j·w_j + u_j) depends only on the index, so
+// it is read from a per-topology table. Indices are not validated.
+func (t *Topology) AppendPathSetLinksNCA(buf []LinkID, src, dst, k int, idxs []int) []LinkID {
+	var upBase, downBase [maxHeight]int
+	s, d := src, dst
+	for j := 1; j <= k; j++ {
+		upBase[j-1] = 2 * (t.edgeOffset[j-1] + s*t.wprod[j])
+		downBase[j-1] = 2*(t.edgeOffset[j-1]+d*t.wprod[j]) + 1
+		s /= t.m[j]
+		d /= t.m[j]
+	}
+	n := len(buf)
+	buf = slices.Grow(buf, 2*k*len(idxs))[:n+2*k*len(idxs)]
+	offs := t.pathOff[k]
+	var dec [maxHeight]int32
+	for _, idx := range idxs {
+		row := dec[:k]
+		if offs != nil {
+			row = offs[idx*k : idx*k+k]
+		} else {
+			t.pathOffsets(k, idx, row)
+		}
+		out := buf[n : n+2*k]
+		for j, o := range row {
+			out[j] = LinkID(upBase[j] + int(o))
+			out[2*k-1-j] = LinkID(downBase[j] + int(o))
+		}
+		n += 2 * k
+	}
+	return buf
+}
+
+// pathOffsets writes off_j(idx) = 2·(uLow_j·w_j + u_j) for j = 1..k
+// into row[j-1]: the part of path idx's level-j link IDs that does not
+// depend on the pair. It fits int32 because uLow_j·w_j + u_j <
+// WProd(j) <= 2^30.
+func (t *Topology) pathOffsets(k, idx int, row []int32) {
+	var u [maxHeight + 1]int
+	for j := k; j >= 1; j-- {
+		u[j] = idx % t.w[j]
+		idx /= t.w[j]
+	}
+	uLow := 0
+	for j := 1; j <= k; j++ {
+		row[j-1] = int32(2 * (uLow*t.w[j] + u[j]))
+		uLow += u[j] * t.wprod[j-1]
+	}
 }
 
 // PathLinks is AppendPathLinks with a fresh slice.

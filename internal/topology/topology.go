@@ -47,7 +47,16 @@ type Topology struct {
 
 	mprod []int // mprod[l] = Π_{i=l+1..h} m_i
 	wprod []int // wprod[l] = Π_{i=1..l} w_i
+
+	// pathOff[k][idx·k + j-1] is the pair-independent part of the
+	// level-j link IDs of canonical level-k path idx (see
+	// pathOffsets); nil for levels above maxPathOffEntries entries.
+	pathOff [][]int32
 }
+
+// maxPathOffEntries caps one level's pathOff table (256 KiB); larger
+// levels decode path digits per path instead.
+const maxPathOffEntries = 1 << 16
 
 // New constructs XGFT(h; m[0..h-1]; w[0..h-1]). The slices use natural
 // 0-based Go indexing: m[i-1] and w[i-1] hold the paper's m_i and w_i.
@@ -107,6 +116,15 @@ func New(h int, m, w []int) (*Topology, error) {
 		t.edgeOffset[l+1] = t.edgeOffset[l] + t.levelCount[l]*t.w[l+1]
 	}
 	t.numEdges = t.edgeOffset[h]
+	t.pathOff = make([][]int32, h+1)
+	for k := 1; k <= h; k++ {
+		if x := t.wprod[k]; x*k <= maxPathOffEntries {
+			t.pathOff[k] = make([]int32, x*k)
+			for idx := 0; idx < x; idx++ {
+				t.pathOffsets(k, idx, t.pathOff[k][idx*k:idx*k+k])
+			}
+		}
+	}
 	return t, nil
 }
 
