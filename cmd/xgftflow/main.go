@@ -45,19 +45,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	arg := fs.Int("arg", 1, "pattern argument (shift amount, hotspot node)")
 	seed := fs.Int64("seed", 2012, "base seed")
 	samples := fs.Int("samples", 100, "initial samples for the permutation study")
-	maxSamples := fs.Int("max-samples", 12800, "sample cap for the permutation study")
+	maxSamples := fs.Int("max-samples", stats.AdaptiveConfig{}.WithDefaults().MaxSamples, "sample cap for the permutation study")
 	precision := fs.Float64("precision", 0.01, "relative confidence-interval target")
 	out := fs.String("out", "", "directory for manifest.json (created if missing)")
-	compile := fs.String("compile", "auto", "routing-table policy for the permutation study: auto | never | always | block")
-	tf := cliutil.AddTableFlags(fs)
+	budget := fs.Int64("table-budget", flow.DefaultCompileBudget, "routing-table byte budget for the permutation study: each seed's table is compiled when it fits (and the fabric has no more nodes than -max-samples), else paths are derived per sample")
 	prof := cliutil.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	mode, err := compileMode(*compile)
-	if err != nil {
-		fmt.Fprintln(stderr, "xgftflow:", err)
-		fs.Usage()
 		return 2
 	}
 
@@ -70,7 +63,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		man = cliutil.NewManifest("xgftflow")
 		man.Flags = cliutil.FlagValues(fs)
 		man.Seed = *seed
-		tf.Stamp(man)
+		man.TableBudget = *budget
 	}
 	// seal writes the manifest exactly once, whether the run finishes,
 	// fails, or is interrupted by a signal racing the normal exit path.
@@ -137,18 +130,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s, routing %s\n", t, core.NewRouting(t, sel, *k, *seed))
 
 	if *pattern == "permutations" {
-		cache, err := tf.OpenCache()
-		if err != nil {
-			return finish(1, err)
-		}
 		res := flow.Experiment{
 			Topo: t, Sel: sel, K: *k, PermSeed: *seed,
 			Sampling: stats.AdaptiveConfig{
 				InitialSamples: *samples, MaxSamples: *maxSamples, RelPrecision: *precision,
 			},
-			Compile:       mode,
-			CompileBudget: tf.Budget,
-			Block:         flow.BlockPolicy{SegmentBytes: tf.SegmentBytes, Cache: cache},
+			CompileBudget: *budget,
 		}.Run()
 		fmt.Fprintf(stdout, "average max link load over %d permutations: %.4f ± %.4f (99%% CI, converged=%v)\n",
 			res.Acc.N(), res.Acc.Mean(), res.HalfWidth, res.Converged)
@@ -184,19 +171,4 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return finish(0, nil)
-}
-
-// compileMode resolves the -compile flag.
-func compileMode(s string) (flow.CompileMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "":
-		return flow.CompileAuto, nil
-	case "never":
-		return flow.CompileNever, nil
-	case "always":
-		return flow.CompileAlways, nil
-	case "block":
-		return flow.CompileBlock, nil
-	}
-	return 0, fmt.Errorf("unknown -compile mode %q (want auto, never, always or block)", s)
 }

@@ -7,10 +7,10 @@ import (
 	"xgftsim/internal/experiments"
 )
 
-// TableFlags is the shared routing-table policy flag trio of the CLIs:
-// where (and whether) to cache compiled segments on disk, how many
-// bytes of table may stay resident, and the segment granularity of the
-// out-of-core block mode.
+// TableFlags is xgftpaper's routing-table policy: where (and whether)
+// to cache compiled segments on disk, how many bytes of table may stay
+// resident, and the segment granularity of the out-of-core block mode
+// that -exp mega runs.
 type TableFlags struct {
 	CacheDir      string
 	CacheMaxBytes int64
@@ -38,20 +38,6 @@ func (tf *TableFlags) Options() experiments.TableOptions {
 		Budget:        tf.Budget,
 		SegmentBytes:  tf.SegmentBytes,
 	}
-}
-
-// OpenCache opens the segment cache named by -table-cache, or returns
-// nil when no cache was requested.
-func (tf *TableFlags) OpenCache() (*core.SegmentCache, error) {
-	if tf.CacheDir == "" {
-		return nil, nil
-	}
-	c, err := core.OpenSegmentCache(tf.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-	c.SetMaxBytes(tf.CacheMaxBytes)
-	return c, nil
 }
 
 // Stamp records the effective table policy in the run manifest.

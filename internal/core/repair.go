@@ -210,10 +210,19 @@ func (rr *RepairedRouting) repairSelect(ps *PathScratch, buf []int, src, dst, k 
 		return take(func(c int) int { return (i0 + int(offs[c])) % x }, clampK(rr.base.k, x))
 	case UMulti:
 		return take(func(c int) int { return c }, x)
-	case RandomSingle:
-		return take(rr.repairPerm(ps, src, dst, x), 1)
-	case RandomK:
-		return take(rr.repairPerm(ps, src, dst, x), clampK(rr.base.k, x))
+	case RandomSingle, RandomK:
+		want := 1
+		if _, ok := rr.base.sel.(RandomK); ok {
+			want = clampK(rr.base.k, x)
+		}
+		perm := rr.repairPerm(ps, src, dst, x)
+		// Lazy Fisher-Yates: take asks for c = 0, 1, 2, ... in turn, so
+		// each call fixes exactly the next slot of the permutation.
+		return take(func(c int) int {
+			j := c + ps.rng.Intn(x-c)
+			perm[c], perm[j] = perm[j], perm[c]
+			return perm[c]
+		}, want)
 	}
 	panic("core: unreachable — Repair validated the scheme") // invariant guard
 }
@@ -237,25 +246,20 @@ func (ps *PathScratch) disjointOffsets(t *topology.Topology, k, x int) []int32 {
 	return ps.djOff[k]
 }
 
-// repairPerm returns an order function enumerating a deterministic
-// random permutation of [0, x), drawn lazily by Fisher-Yates from the
-// pair's dedicated repair substream.
-func (rr *RepairedRouting) repairPerm(ps *PathScratch, src, dst, x int) func(c int) int {
+// repairPerm seeds ps's RNG from the pair's dedicated repair substream
+// and returns the identity over [0, x) in ps's reused buffer, ready for
+// repairSelect to shuffle lazily into a deterministic random order.
+func (rr *RepairedRouting) repairPerm(ps *PathScratch, src, dst, x int) []int {
 	r := rr.base
 	ps.src.SeedStream(r.seed^repairStreamSalt, int64(src)*int64(r.topo.NumProcessors())+int64(dst))
-	perm := make([]int, x)
+	if cap(ps.perm) < x {
+		ps.perm = make([]int, x)
+	}
+	perm := ps.perm[:x]
 	for i := range perm {
 		perm[i] = i
 	}
-	drawn := 0
-	return func(c int) int {
-		for drawn <= c {
-			j := drawn + ps.rng.Intn(x-drawn)
-			perm[drawn], perm[j] = perm[j], perm[drawn]
-			drawn++
-		}
-		return perm[c]
-	}
+	return perm
 }
 
 // NumAlivePaths returns the number of surviving shortest paths for the

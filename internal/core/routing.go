@@ -95,10 +95,12 @@ type PathScratch struct {
 	src stats.SplitMix
 	rng *rand.Rand
 	// Repair scratch: the surviving-path bitmap of the pair being
-	// re-selected and the cached disjoint preference-order offsets
-	// (pair-independent, so each scratch derives them once per NCA
-	// level; see PathScratch.disjointOffsets).
+	// re-selected, the random schemes' preference permutation, and the
+	// cached disjoint preference-order offsets (pair-independent, so
+	// each scratch derives them once per NCA level; see
+	// PathScratch.disjointOffsets).
 	alive  []uint64
+	perm   []int
 	djTopo *topology.Topology
 	djOff  [maxDigits][]int32
 }

@@ -144,16 +144,22 @@ func TestCompiledTableSharedRace(t *testing.T) {
 }
 
 // TestExperimentCompileModesAgree: the full adaptive permutation
-// experiment must produce identical statistics with compiled tables
-// forced on and forced off.
+// experiment must produce identical statistics on compiled tables (the
+// default here: the sample cap equals N, so the build amortizes) and
+// on the lazy path forced by a 1-byte budget.
 func TestExperimentCompileModesAgree(t *testing.T) {
 	tp := topology.MustNew(2, []int{8, 16}, []int{1, 8})
-	cfg := stats.AdaptiveConfig{InitialSamples: 12, MaxSamples: 24, RelPrecision: 0.2}
+	cfg := stats.AdaptiveConfig{InitialSamples: 12, MaxSamples: tp.NumProcessors(), RelPrecision: 0.2}
 	for _, sel := range []core.Selector{core.Disjoint{}, core.RandomK{}} {
-		base := Experiment{Topo: tp, Sel: sel, K: 3, PermSeed: 11, Sampling: cfg}
-		on, off := base, base
-		on.Compile, off.Compile = CompileAlways, CompileNever
-		a, b := on.Run(), off.Run()
+		on := Experiment{Topo: tp, Sel: sel, K: 3, PermSeed: 11, Sampling: cfg}
+		off := on
+		off.CompileBudget = 1
+		fallbacks := met.compileFallbackBudget.Value() + met.compileFallbackAmortize.Value()
+		a := on.Run()
+		if met.compileFallbackBudget.Value()+met.compileFallbackAmortize.Value() != fallbacks {
+			t.Fatalf("%s: default policy did not compile", sel.Name())
+		}
+		b := off.Run()
 		if a.Acc.Mean() != b.Acc.Mean() || a.Acc.N() != b.Acc.N() || a.HalfWidth != b.HalfWidth {
 			t.Fatalf("%s: compiled experiment (mean %v, n %d) != lazy (mean %v, n %d)",
 				sel.Name(), a.Acc.Mean(), a.Acc.N(), b.Acc.Mean(), b.Acc.N())

@@ -8,7 +8,6 @@ import (
 	"xgftsim/internal/core"
 	"xgftsim/internal/stats"
 	"xgftsim/internal/topology"
-	"xgftsim/internal/traffic"
 )
 
 // FailureExperiment is the degraded-fabric analogue of Experiment: for
@@ -38,16 +37,15 @@ type FailureExperiment struct {
 	// Confidence is the level of the over-fault-seeds interval;
 	// 0 means 0.99, matching the paper's protocol.
 	Confidence float64
-	// Compile / CompileBudget follow Experiment. Under a compiling
-	// policy the degraded tables are built incrementally: one healthy
-	// compile per selector seed (shared through Base when the caller
-	// provides one) plus a per-fault-placement delta patch.
-	Compile       CompileMode
+	// CompileBudget follows Experiment. When the healthy table compiles,
+	// the degraded tables are built incrementally: one healthy compile
+	// per selector seed (shared through Base when the caller provides
+	// one) plus a per-fault-placement delta patch.
 	CompileBudget int64
 	// Base, when non-nil, supplies the healthy compiled tables and
 	// delta repairers shared across every fraction of a sweep column;
 	// see NewBase. It must have been built by an experiment with the
-	// same topology, scheme, K, seeds and compile policy.
+	// same topology, scheme, K and seeds.
 	Base *FailureBase
 	// MeasureDisconnected additionally records the fraction of SD
 	// pairs left with no surviving shortest path per fault seed (an
@@ -56,8 +54,8 @@ type FailureExperiment struct {
 }
 
 // FailureBase is the fault-independent part of a failure experiment:
-// the repairable routing per selector seed and — under a compiling
-// policy — its healthy compiled table wrapped in a delta repairer.
+// the repairable routing per selector seed and, when it compiles, its
+// healthy compiled table wrapped in a delta repairer.
 // A sweep column builds one base and reuses it for every fraction and
 // fault seed, so each placement costs one incremental patch instead of
 // a whole-fabric recompile. Immutable after NewBase and safe for
@@ -83,27 +81,15 @@ type FailureResult struct {
 	Disconnected stats.Accumulator
 }
 
-// resolveSeeds applies the selector-seed defaulting shared by Run and
-// NewBase: deterministic schemes need a single seed.
-func (x FailureExperiment) resolveSeeds() []int64 {
-	if len(x.Seeds) > 0 {
-		return x.Seeds
-	}
-	if core.ClosedForm(x.Sel) {
-		return []int64{0}
-	}
-	return []int64{101, 202, 303, 404, 505}
-}
-
 // NewBase precomputes everything a failure sweep shares across fault
-// placements: per selector seed, the routing and (policy permitting)
-// the healthy compiled table with its link→pairs delta repairer. The
-// base does not depend on Fraction or FaultSeeds, so one base serves a
-// whole sweep column. A compile failure (budget exceeded) or a
-// non-compiling policy leaves the corresponding entry on the lazy
-// repaired path, exactly as the per-cell fallback used to.
+// placements: per selector seed, the routing and (when compileTable
+// accepts it) the healthy compiled table with its link→pairs delta
+// repairer. The base does not depend on Fraction or FaultSeeds, so one
+// base serves a whole sweep column. A refused compile, or a table too
+// large for the repairer's pair index (counted as a budget fallback),
+// leaves the corresponding entry on the lazy repaired path.
 func (x FailureExperiment) NewBase() *FailureBase {
-	seeds := x.resolveSeeds()
+	seeds := selectorSeeds(x.Sel, x.Seeds)
 	b := &FailureBase{
 		topo:     x.Topo,
 		sel:      x.Sel,
@@ -114,46 +100,18 @@ func (x FailureExperiment) NewBase() *FailureBase {
 	}
 	for i, s := range seeds {
 		b.routings[i] = core.NewRouting(x.Topo, x.Sel, x.K, s)
-		if !x.wantCompiled() {
+		c := compileTable(b.routings[i], x.Sampling, x.CompileBudget)
+		if c == nil {
 			continue
-		}
-		budget := x.CompileBudget
-		if budget <= 0 {
-			budget = DefaultCompileBudget
-		}
-		c, err := core.CompileRouting(b.routings[i], budget)
-		if err != nil {
-			continue // over budget: lazy fallback
 		}
 		d, err := core.NewDeltaRepairer(c)
 		if err != nil {
+			met.compileFallbackBudget.Inc()
 			continue
 		}
 		b.reps[i] = d
 	}
 	return b
-}
-
-// wantCompiled applies the CompileMode policy (without a concrete
-// routing: the amortization heuristic only needs sizes). Under
-// CompileAuto the healthy compile (≈N² pair expansions) must be
-// recouped by the per-cell sampling that reuses it, so light-sampling
-// configurations on fabrics wider than their sample budget stay on the
-// lazy evaluators even though a sweep column shares the base.
-func (x FailureExperiment) wantCompiled() bool {
-	if x.Compile == CompileNever {
-		return false
-	}
-	if x.Compile == CompileAuto {
-		ms := x.Sampling.MaxSamples
-		if ms <= 0 {
-			ms = 12800 // stats.AdaptiveConfig's default cap
-		}
-		if x.Topo.NumProcessors() > ms {
-			return false
-		}
-	}
-	return true
 }
 
 // patchBudget is the pair re-selection count below which an
@@ -166,11 +124,7 @@ func (x FailureExperiment) wantCompiled() bool {
 // light sampling — lazy evaluation touches fewer pairs than the patch
 // would, so Run keeps the placement on the degraded evaluator.
 func (x FailureExperiment) patchBudget() int64 {
-	ms := x.Sampling.MaxSamples
-	if ms <= 0 {
-		ms = 12800 // stats.AdaptiveConfig's default cap
-	}
-	return int64(ms) * int64(x.Topo.NumProcessors())
+	return int64(x.Sampling.WithDefaults().MaxSamples) * int64(x.Topo.NumProcessors())
 }
 
 // matches reports whether the base was built for this experiment's
@@ -197,7 +151,7 @@ func (x FailureExperiment) Run() FailureResult {
 	if x.Fraction == 0 {
 		fseeds = fseeds[:1]
 	}
-	seeds := x.resolveSeeds()
+	seeds := selectorSeeds(x.Sel, x.Seeds)
 	conf := x.Confidence
 	if conf == 0 {
 		conf = 0.99
@@ -250,10 +204,10 @@ func (x FailureExperiment) Run() FailureResult {
 						panic(fmt.Sprintf("flow: %v", err))
 					}
 					met.repairPatched.Inc()
-					pools[i] = newEvalPool(func() maxLoader { return NewCompiledEvaluator(c) })
+					pools[i] = newEvalPool(func() *Evaluator { return NewCompiledEvaluator(c) })
 				} else {
 					met.repairLazy.Inc()
-					pools[i] = newEvalPool(func() maxLoader { return NewDegradedEvaluator(rr) })
+					pools[i] = newEvalPool(func() *Evaluator { return NewDegradedEvaluator(rr) })
 				}
 			}
 			preps[fi].pools = pools
@@ -271,17 +225,7 @@ func (x FailureExperiment) Run() FailureResult {
 		if x.MeasureDisconnected {
 			res.Disconnected.Add(preps[fi].disc)
 		}
-		pools := preps[fi].pools
-		sample := func(i int) float64 {
-			rng := stats.Stream(x.PermSeed, int64(i))
-			tm := traffic.FromPermutation(traffic.RandomPermutation(n, rng))
-			sum := 0.0
-			for _, p := range pools {
-				sum += p.maxLoad(tm)
-			}
-			return sum / float64(len(pools))
-		}
-		r := stats.SampleAdaptive(x.Sampling, sample)
+		r := stats.SampleAdaptive(x.Sampling, permSampler(n, x.PermSeed, preps[fi].pools))
 		res.Acc.Add(r.Acc.Mean())
 	}
 	if res.Acc.N() > 1 {

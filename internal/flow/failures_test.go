@@ -90,7 +90,8 @@ func TestFailureExperimentZeroFraction(t *testing.T) {
 }
 
 // TestFailureExperimentRuns: a degraded sweep cell aggregates over its
-// fault seeds, with compile and lazy policies agreeing.
+// fault seeds, with compiled delta tables (the default at this size)
+// and the lazy path forced by a 1-byte budget agreeing.
 func TestFailureExperimentRuns(t *testing.T) {
 	tp := topology.MustNew(2, []int{4, 4}, []int{1, 4})
 	sampling := stats.AdaptiveConfig{InitialSamples: 20, MaxSamples: 40, RelPrecision: 0.05}
@@ -101,11 +102,14 @@ func TestFailureExperimentRuns(t *testing.T) {
 		PermSeed:   5,
 		Sampling:   sampling,
 	}
-	compiled := base
-	compiled.Compile = CompileAlways
 	lazy := base
-	lazy.Compile = CompileNever
-	a, b := compiled.Run(), lazy.Run()
+	lazy.CompileBudget = 1
+	patched := obsCounter(t, "flow.repair_patched")
+	a := base.Run()
+	if obsCounter(t, "flow.repair_patched") == patched {
+		t.Fatal("default policy patched no compiled table")
+	}
+	b := lazy.Run()
 	if a.Acc.N() != 3 || b.Acc.N() != 3 {
 		t.Fatalf("fault seed counts %d/%d, want 3", a.Acc.N(), b.Acc.N())
 	}

@@ -9,7 +9,6 @@ package flow
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"xgftsim/internal/core"
@@ -19,19 +18,25 @@ import (
 )
 
 // pathSource is the common lazy surface of core.Routing and
-// core.RepairedRouting: everything the evaluator needs to expand one
-// pair's path set with caller-owned scratch.
+// core.RepairedRouting: expanding one pair's path set with
+// caller-owned scratch.
 type pathSource interface {
-	Topology() *topology.Topology
 	AppendPathsScratch(ps *core.PathScratch, buf []int, src, dst int) []int
 }
 
-// Evaluator computes link loads for one routing (healthy or repaired),
-// reusing internal scratch buffers across calls. It is not safe for
-// concurrent use; create one per goroutine (see Experiment).
+// Evaluator computes link loads for one routing, healthy or repaired,
+// read from one of two sources: lazily, deriving each flow's path set
+// per call, or from a shared core.CompiledRouting, scanning each
+// flow's precompiled link list with no path selection, no RNG
+// derivation and no per-sample allocation. Both sources feed the same
+// adds in the same order, so their loads agree bit for bit. A compiled
+// table is read-only and may back any number of evaluators; the
+// evaluator itself reuses internal scratch across calls and is not
+// safe for concurrent use — create one per goroutine (see Experiment).
 type Evaluator struct {
-	src     pathSource
-	r       *core.Routing // nil when evaluating a repaired routing
+	src     pathSource            // lazy source; nil when c is set
+	c       *core.CompiledRouting // compiled source; nil when lazy
+	r       *core.Routing         // healthy routing; nil on a degraded fabric
 	topo    *topology.Topology
 	loads   []float64
 	touched []int32 // links loaded by the most recent Loads call
@@ -43,33 +48,43 @@ type Evaluator struct {
 	opt     optScratch
 }
 
-// NewEvaluator creates an evaluator for routing r.
+// NewEvaluator creates a lazy evaluator for routing r.
 func NewEvaluator(r *core.Routing) *Evaluator {
-	e := newEvaluator(r)
+	e := newEvaluator(r.Topology(), r)
 	e.r = r
 	return e
 }
 
-// NewDegradedEvaluator creates an evaluator for a repaired routing on
-// a degraded fabric. Traffic of disconnected pairs (empty repaired
+// NewDegradedEvaluator creates a lazy evaluator for a repaired routing
+// on a degraded fabric. Traffic of disconnected pairs (empty repaired
 // path sets) contributes no load; Loads silently skips it, matching
 // the repair contract of reporting rather than routing such pairs.
 func NewDegradedEvaluator(rr *core.RepairedRouting) *Evaluator {
-	return newEvaluator(rr)
+	return newEvaluator(rr.Topology(), rr)
 }
 
-func newEvaluator(src pathSource) *Evaluator {
-	t := src.Topology()
-	return &Evaluator{
-		src:   src,
-		topo:  t,
-		loads: make([]float64, t.NumLinks()),
-		ps:    core.NewPathScratch(),
+// NewCompiledEvaluator creates an evaluator over the shared table c,
+// healthy or repaired (a repaired table skips disconnected pairs like
+// NewDegradedEvaluator).
+func NewCompiledEvaluator(c *core.CompiledRouting) *Evaluator {
+	e := newEvaluator(c.Topology(), nil)
+	e.c = c
+	if c.Repaired() == nil {
+		e.r = c.Routing()
 	}
+	return e
 }
 
-// Routing returns the routing under evaluation, or nil for a degraded
-// evaluator (whose source is a core.RepairedRouting).
+func newEvaluator(t *topology.Topology, src pathSource) *Evaluator {
+	e := &Evaluator{src: src, topo: t, loads: make([]float64, t.NumLinks())}
+	if src != nil {
+		e.ps = core.NewPathScratch()
+	}
+	return e
+}
+
+// Routing returns the healthy routing under evaluation, or nil on a
+// degraded fabric (a core.RepairedRouting source or repaired table).
 func (e *Evaluator) Routing() *core.Routing { return e.r }
 
 // Loads computes the load of every directed link under tm: the paper's
@@ -92,59 +107,67 @@ func (e *Evaluator) Loads(tm *traffic.Matrix) []float64 {
 	}
 	met.loadsCalls.Inc()
 	met.pairsEvaluated.Add(int64(len(tm.Flows())))
-	max := 0.0
 	if e.dense {
-		for i := range e.loads {
-			e.loads[i] = 0
+		clear(e.loads)
+	} else {
+		for _, l := range e.touched {
+			e.loads[l] = 0
 		}
-		for _, f := range tm.Flows() {
-			e.pathBuf = e.src.AppendPathsScratch(e.ps, e.pathBuf[:0], f.Src, f.Dst)
-			if len(e.pathBuf) == 0 {
-				continue
+		e.touched = e.touched[:0]
+	}
+	max := 0.0
+	for _, f := range tm.Flows() {
+		if e.c != nil {
+			if links, np := e.c.PairLinks(f.Src, f.Dst); np > 0 {
+				max = addShare(e, links, f.Amount/float64(np), max)
 			}
-			share := f.Amount / float64(len(e.pathBuf))
-			e.linkBuf = core.AppendPathSetLinks(e.topo, f.Src, f.Dst, e.pathBuf, e.linkBuf[:0])
-			for _, link := range e.linkBuf {
-				e.loads[link] += share
-			}
+			continue
 		}
+		e.pathBuf = e.src.AppendPathsScratch(e.ps, e.pathBuf[:0], f.Src, f.Dst)
+		if len(e.pathBuf) == 0 {
+			continue
+		}
+		e.linkBuf = core.AppendPathSetLinks(e.topo, f.Src, f.Dst, e.pathBuf, e.linkBuf[:0])
+		max = addShare(e, e.linkBuf, f.Amount/float64(len(e.pathBuf)), max)
+	}
+	if e.dense {
 		for _, v := range e.loads {
 			if v > max {
 				max = v
 			}
 		}
-		e.lastMax = max
-		return e.loads
-	}
-	for _, l := range e.touched {
-		e.loads[l] = 0
-	}
-	e.touched = e.touched[:0]
-	for _, f := range tm.Flows() {
-		e.pathBuf = e.src.AppendPathsScratch(e.ps, e.pathBuf[:0], f.Src, f.Dst)
-		if len(e.pathBuf) == 0 {
-			continue
-		}
-		share := f.Amount / float64(len(e.pathBuf))
-		e.linkBuf = core.AppendPathSetLinks(e.topo, f.Src, f.Dst, e.pathBuf, e.linkBuf[:0])
-		for _, link := range e.linkBuf {
-			v := e.loads[link]
-			if v == 0 {
-				e.touched = append(e.touched, int32(link))
-			}
-			v += share
-			e.loads[link] = v
-			if v > max {
-				max = v
-			}
-		}
-	}
-	if len(e.touched)*4 >= len(e.loads) {
+	} else if len(e.touched)*4 >= len(e.loads) {
 		e.dense = true
 		e.touched = e.touched[:0]
 	}
 	e.lastMax = max
 	return e.loads
+}
+
+// addShare adds share to every link of one flow's path-set link list
+// and returns the running maximum: in sparse mode it records first
+// touches and folds the maximum per add, in dense mode it only adds
+// (Loads scans for the maximum once at the end).
+func addShare[L ~int | ~int32](e *Evaluator, links []L, share, max float64) float64 {
+	loads := e.loads
+	if e.dense {
+		for _, l := range links {
+			loads[l] += share
+		}
+		return max
+	}
+	for _, l := range links {
+		v := loads[l]
+		if v == 0 {
+			e.touched = append(e.touched, int32(l))
+		}
+		v += share
+		loads[l] = v
+		if v > max {
+			max = v
+		}
+	}
+	return max
 }
 
 // MaxLoad computes MLOAD(r, TM): the largest link load under tm.
@@ -158,14 +181,9 @@ func (e *Evaluator) MaxLoad(tm *traffic.Matrix) float64 {
 // call. Index [l][0] is the up direction, [l][1] the down direction.
 // Used by the ablation study of where each heuristic leaves contention.
 func (e *Evaluator) TierLoads() [][2]float64 {
-	return tierLoads(e.topo, e.loads)
-}
-
-// tierLoads folds a per-link load vector into per-tier directional
-// maxima; shared by the lazy and compiled evaluators.
-func tierLoads(t *topology.Topology, loads []float64) [][2]float64 {
+	t := e.topo
 	out := make([][2]float64, t.H())
-	for link, l := range loads {
+	for link, l := range e.loads {
 		if l == 0 {
 			continue
 		}
@@ -269,25 +287,36 @@ func PerformanceRatio(r *core.Routing, tm *traffic.Matrix) float64 {
 	return NewEvaluator(r).PerformanceRatio(tm)
 }
 
-// maxLoader is the common surface of the lazy and compiled evaluators.
-type maxLoader interface {
-	MaxLoad(tm *traffic.Matrix) float64
-}
-
 // evalPool amortizes evaluator allocation across concurrent samples.
 type evalPool struct {
 	pool sync.Pool
 }
 
-func newEvalPool(newFn func() maxLoader) *evalPool {
+func newEvalPool(newFn func() *Evaluator) *evalPool {
 	return &evalPool{pool: sync.Pool{New: func() any { return newFn() }}}
 }
 
 func (p *evalPool) maxLoad(tm *traffic.Matrix) float64 {
-	e := p.pool.Get().(maxLoader)
+	e := p.pool.Get().(*Evaluator)
 	v := e.MaxLoad(tm)
 	p.pool.Put(e)
 	return v
+}
+
+// permSampler is the adaptive protocol's per-sample function shared by
+// Experiment and FailureExperiment: sample i is the i-th random
+// permutation of the permSeed stream over n nodes, valued at its
+// maximum link load averaged over the pools' routings.
+func permSampler(n int, permSeed int64, pools []*evalPool) func(int) float64 {
+	return func(i int) float64 {
+		rng := stats.Stream(permSeed, int64(i))
+		tm := traffic.FromPermutation(traffic.RandomPermutation(n, rng))
+		sum := 0.0
+		for _, p := range pools {
+			sum += p.maxLoad(tm)
+		}
+		return sum / float64(len(pools))
+	}
 }
 
 // Experiment is the paper's flow-level permutation study for a single
@@ -308,241 +337,66 @@ type Experiment struct {
 	// Sampling configures the adaptive protocol; the zero value uses
 	// the defaults in stats.AdaptiveConfig.
 	Sampling stats.AdaptiveConfig
-	// Compile selects whether Run precompiles each seed's routing into
-	// a read-only core.CompiledRouting shared by all sampler
-	// goroutines. The default CompileAuto compiles when the table fits
-	// CompileBudget and the sample cap can amortize the one-shot build;
-	// large fabrics whose pair count defeats either bound fall back to
-	// the lazy per-sample path derivation transparently.
-	Compile CompileMode
 	// CompileBudget caps each compiled table's estimated size in
-	// bytes; 0 means DefaultCompileBudget.
+	// bytes; 0 means DefaultCompileBudget. Run precompiles each seed's
+	// routing into a read-only core.CompiledRouting shared by all
+	// sampler goroutines when the table fits it and the sample cap
+	// amortizes the build (see compileTable); otherwise it evaluates
+	// lazily, with identical results. A budget of 1 forces the lazy path.
 	CompileBudget int64
-	// Block configures CompileBlock mode; ignored otherwise.
-	Block BlockPolicy
 }
 
-// BlockPolicy configures the out-of-core block-compiled mode: segment
-// granularity and residency for the table itself and a separate bound
-// on evaluator load-row memory (which scales with batch size, not with
-// the table).
-type BlockPolicy struct {
-	// SegmentBytes is the target compiled size of one source-block
-	// segment; 0 means core.DefaultSegmentBytes.
-	SegmentBytes int64
-	// ResidentBytes caps the segment pool kept hot between walks; 0
-	// means the experiment's CompileBudget (block mode's whole point is
-	// that the budget bounds resident table memory, not table size).
-	ResidentBytes int64
-	// Cache, when non-nil, persists compiled segments on disk so later
-	// runs map them back instead of recompiling.
-	Cache *core.SegmentCache
-	// EvalBytes bounds the per-batch evaluator row memory (8 bytes ×
-	// links × batch × seeds); 0 means DefaultEvalBytes. Larger batches
-	// amortize segment fetches over more samples per walk.
-	EvalBytes int64
-}
-
-// DefaultEvalBytes bounds block-mode evaluator row memory when
-// BlockPolicy.EvalBytes is zero.
-const DefaultEvalBytes int64 = 256 << 20
-
-// CompileMode selects Experiment's use of compiled routing tables.
-type CompileMode int
-
-const (
-	// CompileAuto precompiles when both the memory budget and the
-	// amortization heuristic allow it.
-	CompileAuto CompileMode = iota
-	// CompileNever always uses the lazy evaluator.
-	CompileNever
-	// CompileAlways precompiles whenever the table fits the budget,
-	// regardless of amortization.
-	CompileAlways
-	// CompileBlock streams the table as block-compiled segments
-	// (core.BlockCompiledRouting): samples are evaluated in
-	// segment-ordered batches and peak table memory stays near one
-	// segment per walker no matter how large the fabric. Never chosen
-	// automatically — out-of-core evaluation is an explicit decision.
-	CompileBlock
-)
-
-// DefaultCompileBudget bounds a compiled table's size when
-// Experiment.CompileBudget is zero.
+// DefaultCompileBudget bounds a compiled table's size when an
+// experiment's CompileBudget is zero.
 const DefaultCompileBudget int64 = 1 << 30
 
-// compiled builds the compiled table for r under the experiment's
-// policy, or returns nil to use the lazy path.
-func (x Experiment) compiled(r *core.Routing) *core.CompiledRouting {
-	if x.Compile == CompileNever {
+// compileTable is the compile policy of every flow experiment: it
+// compiles r when the fabric has no more nodes than sampling's sample
+// cap and the table fits budget (0 means DefaultCompileBudget), and
+// returns nil otherwise, counting why. Compiling derives all N² pair
+// blocks once and each lazy sample derives N, so the node bound keeps
+// the build amortized even if sampling stops at the cap.
+func compileTable(r *core.Routing, sampling stats.AdaptiveConfig, budget int64) *core.CompiledRouting {
+	if r.Topology().NumProcessors() > sampling.WithDefaults().MaxSamples {
+		met.compileFallbackAmortize.Inc()
 		return nil
 	}
-	budget := x.CompileBudget
 	if budget <= 0 {
 		budget = DefaultCompileBudget
-	}
-	if x.Compile == CompileAuto {
-		// Compiling derives all N² pair blocks once; each lazy sample
-		// derives N. Compile only when the sample cap exceeds N, so the
-		// build is amortized even if sampling stops at the cap.
-		ms := x.Sampling.MaxSamples
-		if ms <= 0 {
-			ms = 12800 // stats.AdaptiveConfig's default cap
-		}
-		if x.Topo.NumProcessors() > ms {
-			met.compileFallbackAmortize.Inc()
-			return nil
-		}
 	}
 	c, err := core.CompileRouting(r, budget)
 	if err != nil {
 		met.compileFallbackBudget.Inc()
-		return nil // over budget: lazy fallback
+		return nil
 	}
 	return c
+}
+
+// selectorSeeds applies the paper's selector-seed default when seeds
+// is empty: a single zero seed for deterministic (closed-form) schemes,
+// five seeds for randomized ones.
+func selectorSeeds(sel core.Selector, seeds []int64) []int64 {
+	if len(seeds) > 0 {
+		return seeds
+	}
+	if core.ClosedForm(sel) {
+		return []int64{0}
+	}
+	return []int64{101, 202, 303, 404, 505}
 }
 
 // Run executes the experiment and returns the sampling result; the
 // accumulator's mean is the paper's "Average of Maximum Load".
 func (x Experiment) Run() stats.AdaptiveResult {
-	seeds := x.Seeds
-	if len(seeds) == 0 {
-		if core.ClosedForm(x.Sel) {
-			seeds = []int64{0}
-		} else {
-			seeds = []int64{101, 202, 303, 404, 505}
-		}
-	}
-	if x.Compile == CompileBlock {
-		return x.runBlock(seeds)
-	}
+	seeds := selectorSeeds(x.Sel, x.Seeds)
 	pools := make([]*evalPool, len(seeds))
 	for i, s := range seeds {
 		r := core.NewRouting(x.Topo, x.Sel, x.K, s)
-		if c := x.compiled(r); c != nil {
-			pools[i] = newEvalPool(func() maxLoader { return NewCompiledEvaluator(c) })
+		if c := compileTable(r, x.Sampling, x.CompileBudget); c != nil {
+			pools[i] = newEvalPool(func() *Evaluator { return NewCompiledEvaluator(c) })
 		} else {
-			pools[i] = newEvalPool(func() maxLoader { return NewEvaluator(r) })
+			pools[i] = newEvalPool(func() *Evaluator { return NewEvaluator(r) })
 		}
 	}
-	n := x.Topo.NumProcessors()
-	sample := func(i int) float64 {
-		rng := stats.Stream(x.PermSeed, int64(i))
-		tm := traffic.FromPermutation(traffic.RandomPermutation(n, rng))
-		sum := 0.0
-		for _, p := range pools {
-			sum += p.maxLoad(tm)
-		}
-		return sum / float64(len(pools))
-	}
-	return stats.SampleAdaptive(x.Sampling, sample)
-}
-
-// runBlock executes the experiment out-of-core: one block-compiled
-// table per seed, samples evaluated in segment-ordered batches so each
-// segment is fetched once per batch and peak table memory stays near
-// one segment. The adaptive protocol below mirrors
-// stats.SampleAdaptive batch for batch — same batch boundaries, same
-// accumulator feed order, same convergence checks — so for matching
-// seeds the result is bit-identical to a lazy or compiled run; only
-// the evaluation order inside a sample differs, and permutation
-// matrices are source-sorted so even that order matches.
-func (x Experiment) runBlock(seeds []int64) stats.AdaptiveResult {
-	budget := x.CompileBudget
-	if budget <= 0 {
-		budget = DefaultCompileBudget
-	}
-	resident := x.Block.ResidentBytes
-	if resident <= 0 {
-		resident = budget
-	}
-	opts := core.BlockOptions{
-		SegmentBytes:  x.Block.SegmentBytes,
-		ResidentBytes: resident,
-		Cache:         x.Block.Cache,
-	}
-	k := x.K
-	if mp := x.Topo.MaxPaths(); k <= 0 || k > mp {
-		k = mp
-	}
-	evals := make([]*BlockEvaluator, len(seeds))
-	for i, s := range seeds {
-		b := core.NewBlockCompiledRouting(core.NewRouting(x.Topo, x.Sel, x.K, s), opts)
-		defer b.Close()
-		evals[i] = NewBlockEvaluator(b, []int{k})
-	}
-
-	n := x.Topo.NumProcessors()
-	eb := x.Block.EvalBytes
-	if eb <= 0 {
-		eb = DefaultEvalBytes
-	}
-	chunk := int(eb / (8 * int64(x.Topo.NumLinks()) * int64(len(seeds))))
-	if chunk < 1 {
-		chunk = 1
-	}
-	tms := make([]*traffic.Matrix, 0, chunk)
-	outs := make([][]float64, 0, chunk)
-	sampleChunk := func(start int, vals []float64) {
-		tms = tms[:0]
-		for i := range vals {
-			rng := stats.Stream(x.PermSeed, int64(start+i))
-			tms = append(tms, traffic.FromPermutation(traffic.RandomPermutation(n, rng)))
-		}
-		for len(outs) < len(vals) {
-			outs = append(outs, make([]float64, 1))
-		}
-		for i := range vals {
-			vals[i] = 0
-		}
-		for _, e := range evals {
-			if err := e.MaxLoadsBatch(tms, outs[:len(vals)]); err != nil {
-				panic(fmt.Sprintf("flow: block evaluation: %v", err))
-			}
-			for i := range vals {
-				vals[i] += outs[i][0]
-			}
-		}
-		// Match Run's per-sample value: sum of per-seed maxima divided
-		// by the seed count (same operation, so same rounding).
-		for i := range vals {
-			vals[i] /= float64(len(seeds))
-		}
-	}
-
-	cfg := x.Sampling.WithDefaults()
-	var acc stats.Accumulator
-	next := 0
-	batch := cfg.InitialSamples
-	vals := make([]float64, 0, cfg.MaxSamples)
-	for {
-		if next+batch > cfg.MaxSamples {
-			batch = cfg.MaxSamples - next
-		}
-		if batch > 0 {
-			vals = vals[:0]
-			vals = append(vals, make([]float64, batch)...)
-			for off := 0; off < batch; off += chunk {
-				c := chunk
-				if off+c > batch {
-					c = batch - off
-				}
-				sampleChunk(next+off, vals[off:off+c])
-			}
-			acc.AddAll(vals)
-			next += batch
-		}
-		rel := acc.RelativeCI(cfg.Confidence)
-		if rel <= cfg.RelPrecision {
-			return stats.AdaptiveResult{Acc: acc, Converged: true, HalfWidth: acc.ConfidenceHalfWidth(cfg.Confidence)}
-		}
-		if next >= cfg.MaxSamples {
-			hw := acc.ConfidenceHalfWidth(cfg.Confidence)
-			if math.IsInf(hw, 1) {
-				hw = 0
-			}
-			return stats.AdaptiveResult{Acc: acc, Converged: false, HalfWidth: hw}
-		}
-		batch = next
-	}
+	return stats.SampleAdaptive(x.Sampling, permSampler(x.Topo.NumProcessors(), x.PermSeed, pools))
 }

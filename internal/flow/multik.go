@@ -342,27 +342,19 @@ type MultiKExperiment struct {
 	Sel  core.Selector
 	// Ks is the ascending, strictly increasing K grid (every K >= 1).
 	Ks []int
-	// Seeds, PermSeed, Sampling, Compile, CompileBudget behave exactly
-	// as in Experiment; the compile policy is applied once at the
-	// grid's largest K.
+	// Seeds, PermSeed, Sampling and CompileBudget behave exactly as in
+	// Experiment; the compile policy is applied once at the grid's
+	// largest K.
 	Seeds         []int64
 	PermSeed      int64
 	Sampling      stats.AdaptiveConfig
-	Compile       CompileMode
 	CompileBudget int64
 }
 
 // Run executes the experiment, returning one accumulator per K in grid
 // order.
 func (x MultiKExperiment) Run() stats.AdaptiveVecResult {
-	seeds := x.Seeds
-	if len(seeds) == 0 {
-		if core.ClosedForm(x.Sel) {
-			seeds = []int64{0}
-		} else {
-			seeds = []int64{101, 202, 303, 404, 505}
-		}
-	}
+	seeds := selectorSeeds(x.Sel, x.Seeds)
 	kmax := x.Ks[len(x.Ks)-1]
 	type source struct {
 		r *core.Routing
@@ -371,8 +363,7 @@ func (x MultiKExperiment) Run() stats.AdaptiveVecResult {
 	srcs := make([]source, len(seeds))
 	for i, s := range seeds {
 		r := core.NewRouting(x.Topo, x.Sel, kmax, s)
-		srcs[i] = source{r, Experiment{Topo: x.Topo, Sel: x.Sel, K: kmax, Sampling: x.Sampling,
-			Compile: x.Compile, CompileBudget: x.CompileBudget}.compiled(r)}
+		srcs[i] = source{r, compileTable(r, x.Sampling, x.CompileBudget)}
 	}
 	// One pool for the cell, not one per seed: an evaluator's scratch
 	// holds no routing state between calls, so each pooled evaluator

@@ -94,11 +94,11 @@ func TestMultiKExperimentMatchesPerCell(t *testing.T) {
 	ks := []int{1, 2, 3, 4}
 	cfg := stats.AdaptiveConfig{InitialSamples: 20, MaxSamples: 160, RelPrecision: 0.02, Parallelism: 2}
 	for _, c := range []struct {
-		sel  core.Selector
-		mode CompileMode
-	}{{core.Disjoint{}, CompileAuto}, {core.RandomK{}, CompileAuto}, {core.RandomK{}, CompileNever}} {
-		sel, name := c.sel, fmt.Sprintf("%s (compile mode %d)", c.sel.Name(), c.mode)
-		vec := MultiKExperiment{Topo: tp, Sel: sel, Ks: ks, PermSeed: 42, Sampling: cfg, Compile: c.mode}.Run()
+		sel    core.Selector
+		budget int64 // 1 forces the lazy source
+	}{{core.Disjoint{}, 0}, {core.RandomK{}, 0}, {core.RandomK{}, 1}} {
+		sel, name := c.sel, fmt.Sprintf("%s (compile budget %d)", c.sel.Name(), c.budget)
+		vec := MultiKExperiment{Topo: tp, Sel: sel, Ks: ks, PermSeed: 42, Sampling: cfg, CompileBudget: c.budget}.Run()
 		sawDifferentN := false
 		for j, k := range ks {
 			res := Experiment{Topo: tp, Sel: sel, K: k, PermSeed: 42, Sampling: cfg}.Run()
@@ -179,10 +179,113 @@ func TestLoadsTouchedClearing(t *testing.T) {
 	}
 }
 
+// naiveLoads accumulates tm's link loads directly from each pair's path
+// set (empty sets carry nothing) and returns them with their maximum.
+func naiveLoads(tp *topology.Topology, tm *traffic.Matrix, paths func(src, dst int) []int) ([]float64, float64) {
+	loads := make([]float64, tp.NumLinks())
+	for _, f := range tm.Flows() {
+		p := paths(f.Src, f.Dst)
+		if len(p) == 0 {
+			continue
+		}
+		share := f.Amount / float64(len(p))
+		for _, l := range core.AppendPathSetLinks(tp, f.Src, f.Dst, p, nil) {
+			loads[l] += share
+		}
+	}
+	max := 0.0
+	for _, v := range loads {
+		if v > max {
+			max = v
+		}
+	}
+	return loads, max
+}
+
+// evalSource is one source an Evaluator reads path sets from, with the
+// path-set function a naive reference expands for it.
+type evalSource struct {
+	name  string
+	ev    *Evaluator
+	paths func(src, dst int) []int
+}
+
+// evalSources builds r's evaluator over each of the four sources the
+// flow experiments use: lazy and compiled on the healthy fabric, lazy
+// (degraded) and delta-compiled (core.DeltaRepairer) under faults.
+func evalSources(t *testing.T, r *core.Routing, faults *topology.FaultSet) []evalSource {
+	t.Helper()
+	c, err := core.CompileRouting(r, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDeltaRepairer(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := r.MustRepair(faults)
+	cd, err := d.CompileRepairedDelta(rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []evalSource{
+		{"lazy", NewEvaluator(r), r.Paths},
+		{"degraded", NewDegradedEvaluator(rr), rr.Paths},
+		{"compiled", NewCompiledEvaluator(c), r.Paths},
+		{"delta", NewCompiledEvaluator(cd), rr.Paths},
+	}
+}
+
+// TestLoadsDenseModeSwitch pins the Loads kernel's permanent switch to
+// bulk clearing on every source: a one-flow matrix stays in sparse
+// (touched-list) mode, a uniform all-to-all matrix touches at least a
+// quarter of the links and flips the evaluator to dense mode, and the
+// next one-flow matrix is still evaluated densely. Every step's loads
+// and maximum equal a naive accumulation bit for bit, so neither mode
+// leaves stale load behind.
+func TestLoadsDenseModeSwitch(t *testing.T) {
+	tp := topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3})
+	n := tp.NumProcessors()
+	faults, err := topology.RandomCableFaultFraction(tp, 5, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := traffic.NewMatrix(n)
+	one.Add(0, n-1, 1)
+	steps := []struct {
+		tm    *traffic.Matrix
+		dense bool
+	}{{one, false}, {traffic.Uniform(n), true}, {one, true}}
+	for _, sel := range []core.Selector{core.DModK{}, core.Disjoint{}, core.RandomK{}} {
+		for _, src := range evalSources(t, core.NewRouting(tp, sel, 3, 11), faults) {
+			for i, st := range steps {
+				naive, wantMax := naiveLoads(tp, st.tm, src.paths)
+				if wantMax == 0 {
+					t.Fatalf("%s %s step %d: demand loads no link", sel.Name(), src.name, i)
+				}
+				got := src.ev.Loads(st.tm)
+				for l := range naive {
+					if math.Float64bits(got[l]) != math.Float64bits(naive[l]) {
+						t.Fatalf("%s %s step %d: loads[%d] = %v, naive %v", sel.Name(), src.name, i, l, got[l], naive[l])
+					}
+				}
+				if src.ev.dense != st.dense {
+					t.Fatalf("%s %s step %d: dense mode %v, want %v", sel.Name(), src.name, i, src.ev.dense, st.dense)
+				}
+				if got := src.ev.MaxLoad(st.tm); math.Float64bits(got) != math.Float64bits(wantMax) {
+					t.Fatalf("%s %s step %d: MaxLoad %v, naive %v", sel.Name(), src.name, i, got, wantMax)
+				}
+			}
+		}
+	}
+}
+
 // TestEvaluatorSteadyStateAllocs pins the zero-allocation steady state
-// of the evaluation hot paths, including random-K routing (whose
-// selector now draws inside the caller's path buffer instead of
-// allocating a map or permutation per pair).
+// of the evaluation hot paths: the per-K evaluator on all four sources
+// (the failure sweep runs the degraded and delta-compiled ones) and
+// both multi-K sources, including random-K routing (whose selector
+// draws inside the caller's path buffer instead of allocating a map or
+// permutation per pair).
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	tp := topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3})
 	n := tp.NumProcessors()
@@ -190,28 +293,20 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	for i := range tms {
 		tms[i] = traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(3, int64(i))))
 	}
+	faults, err := topology.RandomCableFaultFraction(tp, 5, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
 	for _, sel := range []core.Selector{core.Disjoint{}, core.RandomK{}} {
-		r := core.NewRouting(tp, sel, 3, 1)
-		lazy := NewEvaluator(r)
-		lazy.MaxLoad(tms[0]) // warm scratch
-		i := 0
-		if got := testing.AllocsPerRun(20, func() {
-			i++
-			lazy.MaxLoad(tms[i%len(tms)])
-		}); got != 0 {
-			t.Errorf("%s: lazy Evaluator.MaxLoad allocates %.1f/op in steady state", sel.Name(), got)
-		}
-		c, err := core.CompileRouting(r, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comp := NewCompiledEvaluator(c)
-		comp.MaxLoad(tms[0])
-		if got := testing.AllocsPerRun(20, func() {
-			i++
-			comp.MaxLoad(tms[i%len(tms)])
-		}); got != 0 {
-			t.Errorf("%s: CompiledEvaluator.MaxLoad allocates %.1f/op in steady state", sel.Name(), got)
+		for _, src := range evalSources(t, core.NewRouting(tp, sel, 3, 1), faults) {
+			src.ev.MaxLoad(tms[0]) // warm scratch
+			if got := testing.AllocsPerRun(20, func() {
+				i++
+				src.ev.MaxLoad(tms[i%len(tms)])
+			}); got != 0 {
+				t.Errorf("%s: %s Evaluator.MaxLoad allocates %.1f/op in steady state", sel.Name(), src.name, got)
+			}
 		}
 		ks := []int{1, 2, 4, tp.MaxPaths()}
 		lazyMulti, compMulti := newMultiKPair(t, tp, sel, ks, 1)

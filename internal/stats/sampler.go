@@ -28,9 +28,8 @@ type AdaptiveConfig struct {
 
 // WithDefaults returns the config with every zero field replaced by
 // its documented default — the exact config SampleAdaptive runs under.
-// Exported for callers that replicate the adaptive protocol around a
-// batched sampler (see flow's block-compiled experiment runner) and
-// must match SampleAdaptive's decisions bit for bit.
+// Exported for callers that size work by the effective sample cap
+// (flow's compile policy amortizes a table build against it).
 func (c AdaptiveConfig) WithDefaults() AdaptiveConfig { return c.withDefaults() }
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
