@@ -76,7 +76,8 @@ endif
 # targeted race coverage of the repair and watchdog paths and of
 # MultiKExperiment's evaluator pool shared across seeds, the
 # allocation pins guarding the metrics and evaluation hot paths, the
-# multi-K correctness gates (selector prefix nesting, the multi-K
+# multi-K correctness gates (selector prefix nesting, the selectors'
+# bitwise match with their reference loops, the multi-K
 # vs per-K differentials, the vector sampler's scalar equivalence),
 # the race-instrumented control-plane suite (journal replay, churn
 # soak, degradation ladder), ten seconds of fuzzing the binary batch
@@ -101,7 +102,7 @@ ci: vet
 	$(GO) test -count=1 -run 'TestKillDashNineRecovery' ./cmd/xgftserve
 	$(GO) test -run 'Alloc' -count=1 ./internal/obs ./internal/core ./internal/flit ./internal/flow ./internal/serve ./internal/stats
 	$(GO) test -race -count=1 -run 'AdaptiveK' ./internal/flit ./internal/experiments
-	$(GO) test -run 'PrefixNesting|MultiK|SampleAdaptiveVec' -count=1 ./internal/core ./internal/flow ./internal/stats
+	$(GO) test -run 'PrefixNesting|SelectorBitwise|MultiK|SampleAdaptiveVec' -count=1 ./internal/core ./internal/flow ./internal/stats
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/xgftpaper -exp failures -scale quick -out $$tmp/smoke; \
 	for key in tool go_version flags seed workers experiments wall_seconds metrics exit_status; do \

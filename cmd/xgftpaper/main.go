@@ -64,7 +64,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xgftpaper", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "comma-separated experiments: "+strings.Join(order, ",")+", fig4 (=fig4a-d) or all")
-	scaleName := fs.String("scale", "quick", "quick (seconds per experiment) or full (the paper's protocol)")
+	scaleName := fs.String("scale", "quick", "sampling scale: "+experiments.ScaleHelp())
 	out := fs.String("out", "", "directory for CSV output and manifest.json (created if missing)")
 	seed := fs.Int64("seed", 2012, "base seed for sampled workloads")
 	flitSeeds := fs.Int("flit-seeds", 0, "override the scale's flit-level workload seed count (0 = scale default)")

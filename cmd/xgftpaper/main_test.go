@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xgftsim/internal/cliutil"
+	"xgftsim/internal/experiments"
 )
 
 func TestSelectExperiments(t *testing.T) {
@@ -66,6 +67,28 @@ func TestNegativeFlitSeedsRejected(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "-flit-seeds -3 is invalid") {
 		t.Fatalf("stderr missing flit-seeds diagnosis:\n%s", errb.String())
+	}
+}
+
+// TestScaleHelpNamesEveryScale pins -scale's usage text to the scales
+// experiments.ScaleByName resolves, so a scale cannot be accepted
+// without being documented.
+func TestScaleHelpNamesEveryScale(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"-h"}, &out, &errb); code != 2 {
+		t.Fatalf("-h exit = %d, want 2", code)
+	}
+	help := errb.String()
+	for _, name := range experiments.ScaleNames() {
+		if _, err := experiments.ScaleByName(name); err != nil {
+			t.Errorf("ScaleNames lists %q, which ScaleByName rejects: %v", name, err)
+		}
+		if !strings.Contains(help, name+" (") {
+			t.Errorf("-scale help does not describe scale %q:\n%s", name, help)
+		}
+	}
+	if _, err := experiments.ScaleByName("huge"); err == nil {
+		t.Error("ScaleByName accepted an unknown scale")
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -135,8 +137,30 @@ func (Disjoint) Select(t *topology.Topology, src, dst, limK int, _ *rand.Rand, b
 	x := t.WProd(k)
 	i0 := DModKIndex(t, dst, k)
 	n := clampK(limK, x)
+	// Odometer over DisjointOffset: digit a_j of c counts to w_j, and
+	// each step adds S_j for the digit it increments and takes back
+	// w_j·S_j for every digit that wraps. i0 and the offset are both
+	// below x, so one conditional subtract reduces their sum.
+	var a, w, s [maxDigits]int
+	for j := 1; j <= k; j++ {
+		w[j] = t.W(j)
+		s[j] = x / t.WProd(j)
+	}
+	off := 0
 	for c := 0; c < n; c++ {
-		buf = append(buf, (i0+DisjointOffset(t, k, c))%x)
+		v := i0 + off
+		if v >= x {
+			v -= x
+		}
+		buf = append(buf, v)
+		for j := 1; j <= k; j++ {
+			off += s[j]
+			if a[j]++; a[j] < w[j] {
+				break
+			}
+			a[j] = 0
+			off -= w[j] * s[j]
+		}
 	}
 	return buf
 }
@@ -201,24 +225,27 @@ func (RandomK) Select(t *topology.Topology, src, dst, limK int, rng *rand.Rand, 
 		}
 		return buf[:base+n]
 	}
-	// Sparse draw: rejection-sample distinct indices, membership checked
-	// by scanning the (tiny) accepted slice — n <= x/4 here keeps both
-	// the scan short and the expected rejections below n/3. The first m
-	// accepted values are a pure function of the stream, so truncating
-	// at any n <= x/4 nests.
-	lim := n
-	if sparseMax := x / 4; lim > sparseMax {
-		lim = sparseMax
+	// Sparse draw: rejection-sample distinct indices, n <= x/4 keeping
+	// the expected rejections below n/3. The first m accepted values are
+	// a pure function of the stream, so truncating at any n <= x/4
+	// nests. Membership lives in a bitset carved from buf's spare
+	// capacity past everything the draw writes: the accepted prefix, and
+	// for the hybrid tail below the whole x-entry pool.
+	lim := min(n, x/4)
+	end := base + lim
+	if n > lim {
+		end = base + x
 	}
-draw:
+	words := (x + bits.UintSize - 1) / bits.UintSize
+	buf = slices.Grow(buf, end+words-base)
+	seen := buf[end : end+words]
+	clear(seen)
 	for len(buf)-base < lim {
 		v := rng.Intn(x)
-		for _, u := range buf[base:] {
-			if u == v {
-				continue draw
-			}
+		if w := &seen[v/bits.UintSize]; uint(*w)>>(v%bits.UintSize)&1 == 0 {
+			*w |= 1 << (v % bits.UintSize)
+			buf = append(buf, v)
 		}
-		buf = append(buf, v)
 	}
 	if n == lim {
 		return buf
@@ -228,19 +255,20 @@ draw:
 	// Fisher-Yates over that pool. The pool and its permutation are
 	// again pure functions of the stream consumed so far, so every
 	// larger n extends the same sequence.
-	for v := 0; v < x; v++ {
-		dup := false
-		for _, u := range buf[base : base+lim] {
-			if u == v {
-				dup = true
-				break
-			}
+	pool := buf[base+lim : base+x]
+	i := 0
+	for w, word := range seen {
+		// The complement's set bits below x, lowest first.
+		free := ^uint(word)
+		if rest := x - w*bits.UintSize; rest < bits.UintSize {
+			free &= 1<<rest - 1
 		}
-		if !dup {
-			buf = append(buf, v)
+		for ; free != 0; free &= free - 1 {
+			pool[i] = w*bits.UintSize + bits.TrailingZeros(free)
+			i++
 		}
 	}
-	pool := buf[base+lim:]
+	buf = buf[:base+x]
 	for i := 0; i < n-lim && i < len(pool)-1; i++ {
 		j := i + rng.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]

@@ -345,3 +345,158 @@ func TestSelectorValidPathsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refRandomKSelect is RandomK.Select before membership moved into a
+// bitset: the sparse draw and the hybrid tail rescan the accepted
+// prefix for every draw and for every pool candidate. It stays here as
+// the reference the bitset version must reproduce bit for bit.
+func refRandomKSelect(t *topology.Topology, src, dst, limK int, rng *rand.Rand, buf []int) []int {
+	k := t.NCALevel(src, dst)
+	x := t.WProd(k)
+	n := clampK(limK, x)
+	base := len(buf)
+	if x <= randomKDenseX {
+		for i := 0; i < x; i++ {
+			buf = append(buf, i)
+		}
+		perm := buf[base:]
+		for i := 0; i < n && i < x-1; i++ {
+			j := i + rng.Intn(x-i)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		return buf[:base+n]
+	}
+	lim := n
+	if sparseMax := x / 4; lim > sparseMax {
+		lim = sparseMax
+	}
+draw:
+	for len(buf)-base < lim {
+		v := rng.Intn(x)
+		for _, u := range buf[base:] {
+			if u == v {
+				continue draw
+			}
+		}
+		buf = append(buf, v)
+	}
+	if n == lim {
+		return buf
+	}
+	for v := 0; v < x; v++ {
+		dup := false
+		for _, u := range buf[base : base+lim] {
+			if u == v {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			buf = append(buf, v)
+		}
+	}
+	pool := buf[base+lim:]
+	for i := 0; i < n-lim && i < len(pool)-1; i++ {
+		j := i + rng.Intn(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	return buf[:base+n]
+}
+
+// refDisjointOffset is DisjointOffset's digit loop, which
+// Disjoint.Select replaced by an odometer.
+func refDisjointOffset(t *topology.Topology, k, c int) int {
+	off := 0
+	for j := 1; j <= k; j++ {
+		a := c % t.W(j)
+		c /= t.W(j)
+		off += a * (t.WProd(k) / t.WProd(j))
+	}
+	return off
+}
+
+// countingSource counts the values drawn from a math/rand source.
+type countingSource struct {
+	src rand.Source64
+	n   int
+}
+
+func (s *countingSource) Int63() int64    { s.n++; return s.src.Int63() }
+func (s *countingSource) Uint64() uint64  { s.n++; return s.src.Uint64() }
+func (s *countingSource) Seed(seed int64) { s.src.Seed(seed) }
+
+func newCountingRand(seed int64) (*rand.Rand, *countingSource) {
+	cs := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return rand.New(cs), cs
+}
+
+// TestSelectorBitwiseRandomK compares RandomK.Select with the rescanning
+// reference for X on both sides of the dense/sparse boundary and of
+// every 64-bit bitset word boundary, every n <= X and unlimited, on
+// several streams: the indices must be equal, and both must leave the
+// stream at the same position (the same number of draws). Selecting
+// behind a non-empty prefix with leftover capacity checks that the
+// bitset scratch lives past the output and that the prefix survives.
+func TestSelectorBitwiseRandomK(t *testing.T) {
+	for _, x := range []int{17, 36, 64, 144, 255, 256, 257, 1000} {
+		tp := topology.MustNew(1, []int{2}, []int{x})
+		for _, seed := range []int64{1, 7, 2012} {
+			for pair, sd := range [][2]int{{0, 1}, {1, 0}} {
+				for n := 0; n <= x; n++ {
+					wantRng, wantSrc := newCountingRand(seed*31 + int64(pair))
+					gotRng, gotSrc := newCountingRand(seed*31 + int64(pair))
+					want := refRandomKSelect(tp, sd[0], sd[1], n, wantRng, []int{-1})
+					got := RandomK{}.Select(tp, sd[0], sd[1], n, gotRng, append(make([]int, 0, 3), -1))
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("X=%d seed %d pair %v n=%d: got %v, reference %v", x, seed, sd, n, got, want)
+					}
+					if gotSrc.n != wantSrc.n {
+						t.Fatalf("X=%d seed %d pair %v n=%d: %d draws, reference %d", x, seed, sd, n, gotSrc.n, wantSrc.n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelectorBitwiseDisjoint compares Disjoint.Select with the
+// reference digit loop at every NCA level of three fabrics, one with
+// w_1 > 1, for every n up to X and unlimited.
+func TestSelectorBitwiseDisjoint(t *testing.T) {
+	for _, tp := range []*topology.Topology{
+		topology.MustNew(3, []int{4, 3, 2}, []int{1, 2, 3}),
+		topology.MustNew(3, []int{12, 12, 24}, []int{1, 12, 12}),
+		topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3}),
+	} {
+		n := tp.NumProcessors()
+		for k := 1; k <= tp.H(); k++ {
+			// A few pairs at NCA level k, with different d-mod-k starts.
+			var pairs [][2]int
+			for src := 0; src < n && len(pairs) < 4; src += 5 {
+				for dst := n - 1; dst >= 0; dst-- {
+					if tp.NCALevel(src, dst) == k {
+						pairs = append(pairs, [2]int{src, dst})
+						break
+					}
+				}
+			}
+			if len(pairs) == 0 {
+				t.Fatalf("%s: no pair at NCA level %d", tp, k)
+			}
+			x := tp.WProd(k)
+			for _, sd := range pairs {
+				i0 := DModKIndex(tp, sd[1], k)
+				for lim := 0; lim <= x; lim++ {
+					var want []int
+					for c := 0; c < clampK(lim, x); c++ {
+						want = append(want, (i0+refDisjointOffset(tp, k, c))%x)
+					}
+					got := Disjoint{}.Select(tp, sd[0], sd[1], lim, nil, nil)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s level %d pair %v K=%d: got %v, reference %v", tp, k, sd, lim, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -168,7 +168,8 @@ type engine struct {
 
 	// Per node.
 	outLinks    [][]int32 // outgoing directed link per port number
-	injQueue    [][]int32
+	injQueue    [][]int32 // node n's backlog is injQueue[n][injHead[n]:]
+	injHead     []int     // both reset to empty when the backlog drains
 	nextArrival []float64 // fractional Poisson clocks
 	rrVC        []int8    // per-node VC assignment pointer
 
@@ -332,6 +333,7 @@ func newEngine(cfg Config) *engine {
 		e.subtreeIdx[n] = int32(idx / t.WProd(l))
 	}
 	e.injQueue = make([][]int32, e.numProc)
+	e.injHead = make([]int, e.numProc)
 	e.nextArrival = make([]float64, e.numProc)
 	e.rrVC = make([]int8, e.numProc)
 	flitsPerMsg := float64(cfg.FlitsPerPacket * cfg.PacketsPerMessage)
@@ -590,16 +592,19 @@ func (e *engine) injectOne(node int, now int64) {
 // configured hop selector; a hopDead packet (its forced first link is
 // down) is discarded so it cannot wedge the queue behind it.
 func (e *engine) drainInjection(node int, now int64) {
-	for len(e.injQueue[node]) > 0 {
-		idx := e.injQueue[node][0]
+	for e.injHead[node] < len(e.injQueue[node]) {
+		q, h := e.injQueue[node], e.injHead[node]
+		idx := q[h]
 		p := &e.packets[idx]
 		c := e.hop.next(e, topology.NodeID(node), p, 0, p.vc)
 		if c.status == hopBlocked {
 			return
 		}
-		q := e.injQueue[node]
-		copy(q, q[1:])
-		e.injQueue[node] = q[:len(q)-1]
+		if h+1 == len(q) {
+			e.injQueue[node], e.injHead[node] = q[:0], 0
+		} else {
+			e.injHead[node] = h + 1
+		}
 		if c.status == hopDead {
 			e.discard(idx, c.dead)
 			continue
@@ -930,8 +935,8 @@ func (e *engine) stallDiagnosis() string {
 			e.pktsInFlight, p.dst, l, q%e.vcs, why)
 	}
 	for n, iq := range e.injQueue {
-		if len(iq) > 0 {
-			p := &e.packets[iq[0]]
+		if h := e.injHead[n]; h < len(iq) {
+			p := &e.packets[iq[h]]
 			return fmt.Sprintf("%d packets in flight with no schedulable event; e.g. a packet for node %d stuck in node %d's injection queue",
 				e.pktsInFlight, p.dst, n)
 		}

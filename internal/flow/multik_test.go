@@ -27,8 +27,13 @@ func relDiff(a, b float64) float64 {
 // shortcut vs repeated adds), columns whose effective count is X at
 // every level must be bit-identical to OptimalLoad (they are computed
 // by the same subtree-cut pass, never walked), and the lazy and
-// compiled sources must agree bit for bit (they feed the same hits in
-// the same order).
+// compiled sources must agree bit for bit (they feed the same path
+// indices in the same order). Every walked column must also equal, bit
+// for bit, the per-path walk the prefix-counting one replaced
+// (oldMultiKLoads): both demands are dyadic, so adding amount × count
+// once is exact. The last grid's top level has more than 64 Ki
+// path-offset entries, so its offsets are decoded per path instead of
+// read from the topology's table.
 func TestMultiKEvaluatorMatchesPerK(t *testing.T) {
 	grids := append([]struct {
 		topo *topology.Topology
@@ -38,6 +43,14 @@ func TestMultiKEvaluatorMatchesPerK(t *testing.T) {
 		{topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3}), []int{1, 2, 3, 11, 12}}, // X = 12, multi-level
 		{topology.MustNew(2, []int{5, 20}, []int{1, 18}), []int{1, 2, 3, 17, 18}},     // X = 18, sparse random regime
 	}, multiKGrids...)
+	noTable := topology.MustNew(2, []int{2, 3}, []int{2, 16385}) // X = 32770, 2X offsets
+	if noTable.PathOffsetTable(2) != nil || noTable.PathOffsetTable(1) == nil {
+		t.Fatalf("%s: want a path-offset table at level 1 only", noTable)
+	}
+	grids = append(grids, struct {
+		topo *topology.Topology
+		ks   []int
+	}{noTable, []int{1, 2, 5, 9}})
 	sels := []core.Selector{core.Shift1{}, core.Disjoint{}, core.RandomK{}, core.DModK{}, core.UMulti{}}
 	for _, g := range grids {
 		tp, ks := g.topo, g.ks
@@ -54,9 +67,13 @@ func TestMultiKEvaluatorMatchesPerK(t *testing.T) {
 				} {
 					lazy.MaxLoads(tm, nil, outL)
 					comp.MaxLoads(tm, nil, outC)
+					old := oldMultiKLoads(lazy, core.NewRouting(tp, sel, ks[len(ks)-1], 7), tm)
 					for j, k := range ks {
 						if outL[j] != outC[j] {
 							t.Errorf("%s on %s K=%d sample %d: lazy multi-K %v, compiled %v", sel.Name(), tp, k, sample, outL[j], outC[j])
+						}
+						if !lazy.oload[j] && math.Float64bits(outL[j]) != math.Float64bits(old[j]) {
+							t.Errorf("%s on %s K=%d sample %d: multi-K %v, per-path walk %v", sel.Name(), tp, k, sample, outL[j], old[j])
 						}
 						ref := NewEvaluator(core.NewRouting(tp, sel, k, 7)).MaxLoad(tm)
 						if d := relDiff(outL[j], ref); d > 1e-12 {
@@ -78,6 +95,55 @@ func TestMultiKEvaluatorMatchesPerK(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oldMultiKLoads is the multi-K walk before it counted by path prefix,
+// kept as a reference: it expands every path of r (routed at the grid's
+// largest K) into links with core.AppendPathSetLinks and adds the
+// flow's amount once per link hit into e's bucket layout, one full row
+// per link, then folds every row into each walked column's maximum.
+// Theorem-1 columns of the result are left at zero.
+func oldMultiKLoads(e *MultiKEvaluator, r *core.Routing, tm *traffic.Matrix) []float64 {
+	h := len(e.plans) - 1
+	out := make([]float64, len(e.ks))
+	if e.nb == 0 { // every column is a Theorem-1 column
+		return out
+	}
+	hist := make([]float64, e.topo.NumLinks()*e.nb)
+	for _, f := range tm.Flows() {
+		k := e.topo.NCALevel(f.Src, f.Dst)
+		p := &e.plans[k]
+		paths := r.Paths(f.Src, f.Dst)[:p.bounds[len(p.bounds)-1]]
+		links := core.AppendPathSetLinks(e.topo, f.Src, f.Dst, paths, nil)
+		prev := 0
+		for q, b := range p.bounds {
+			for _, l := range links[prev*2*k : b*2*k] {
+				hist[int(l)*e.nb+p.off+q] += f.Amount
+			}
+			prev = b
+		}
+	}
+	for l := 0; l < e.topo.NumLinks(); l++ {
+		row := hist[l*e.nb : (l+1)*e.nb]
+		for _, p := range e.plans[1:] {
+			sum := 0.0
+			for q, b := range p.bounds {
+				sum += row[p.off+q]
+				row[p.off+q] = sum / float64(b)
+			}
+		}
+		for j := range e.ks {
+			if e.oload[j] {
+				continue
+			}
+			v := 0.0
+			for _, at := range e.at[j*h : j*h+h] {
+				v += row[at]
+			}
+			out[j] = max(out[j], v)
+		}
+	}
+	return out
 }
 
 // TestMultiKExperimentMatchesPerCell is the pipeline-level
@@ -320,6 +386,24 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 				t.Errorf("%s (compiled %v): MultiKEvaluator.MaxLoads allocates %.1f/op in steady state", sel.Name(), multi.c != nil, got)
 			}
 		}
+	}
+	// Random-K beyond 256 paths: its membership bitset spans several
+	// words, carved from the path buffer like the rest of its scratch.
+	wide := topology.MustNew(2, []int{4, 4}, []int{1, 300})
+	ks := []int{1, 16, 100, 299}
+	lazy, comp := newMultiKPair(t, wide, core.RandomK{}, ks, 1)
+	perm := traffic.FromPermutation(traffic.RandomPermutation(wide.NumProcessors(), stats.Stream(3, 0)))
+	out := make([]float64, len(ks))
+	for _, multi := range []*MultiKEvaluator{lazy, comp} {
+		multi.MaxLoads(perm, nil, out)
+		if got := testing.AllocsPerRun(20, func() { multi.MaxLoads(perm, nil, out) }); got != 0 {
+			t.Errorf("random on %s (compiled %v): MultiKEvaluator.MaxLoads allocates %.1f/op in steady state", wide, multi.c != nil, got)
+		}
+	}
+	ev := NewEvaluator(core.NewRouting(wide, core.RandomK{}, 100, 1))
+	ev.MaxLoad(perm)
+	if got := testing.AllocsPerRun(20, func() { ev.MaxLoad(perm) }); got != 0 {
+		t.Errorf("random on %s: Evaluator.MaxLoad allocates %.1f/op in steady state", wide, got)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestLinkExpanderMatchesAppend(t *testing.T) {
 		t.Run(topo.String(), func(t *testing.T) {
 			n := topo.NumProcessors()
 			exp := topo.NewLinkExpander()
-			var up [maxHeight]int
+			var up [MaxHeight]int
 			var want []LinkID
 			idxs := make([]int32, 0, topo.MaxPaths())
 			out := make([]int32, 0)
@@ -71,7 +71,7 @@ func TestLinkExpanderSubsetOrder(t *testing.T) {
 	out := make([]int32, len(idxs)*2*k)
 	exp.SetSource(src)
 	exp.PairLinks(dst, k, idxs, out)
-	var up [maxHeight]int
+	var up [MaxHeight]int
 	var want []LinkID
 	for _, idx := range idxs {
 		v := int(idx)

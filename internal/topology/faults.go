@@ -237,7 +237,7 @@ func (f *FaultSet) Connected(src, dst int) bool {
 	if f.num == 0 {
 		return true
 	}
-	var sHigh, dHigh [maxHeight + 1]int
+	var sHigh, dHigh [MaxHeight + 1]int
 	sHigh[1], dHigh[1] = src, dst
 	for j := 2; j <= k; j++ {
 		sHigh[j] = sHigh[j-1] / t.m[j-1]
@@ -246,7 +246,7 @@ func (f *FaultSet) Connected(src, dst int) bool {
 	return f.connectedFrom(1, k, 0, &sHigh, &dHigh)
 }
 
-func (f *FaultSet) connectedFrom(j, k, uLow int, sHigh, dHigh *[maxHeight + 1]int) bool {
+func (f *FaultSet) connectedFrom(j, k, uLow int, sHigh, dHigh *[MaxHeight + 1]int) bool {
 	t := f.topo
 	base := t.edgeOffset[j-1]
 	for u := 0; u < t.w[j]; u++ {
@@ -273,7 +273,7 @@ func (f *FaultSet) AlivePaths(src, dst int) int {
 	if f.num == 0 {
 		return t.WProd(k)
 	}
-	var sHigh, dHigh [maxHeight + 1]int
+	var sHigh, dHigh [MaxHeight + 1]int
 	sHigh[1], dHigh[1] = src, dst
 	for j := 2; j <= k; j++ {
 		sHigh[j] = sHigh[j-1] / t.m[j-1]
@@ -282,7 +282,7 @@ func (f *FaultSet) AlivePaths(src, dst int) int {
 	return f.alivePathsFrom(1, k, 0, &sHigh, &dHigh)
 }
 
-func (f *FaultSet) alivePathsFrom(j, k, uLow int, sHigh, dHigh *[maxHeight + 1]int) int {
+func (f *FaultSet) alivePathsFrom(j, k, uLow int, sHigh, dHigh *[MaxHeight + 1]int) int {
 	t := f.topo
 	base := t.edgeOffset[j-1]
 	n := 0
@@ -329,7 +329,7 @@ func (f *FaultSet) AlivePathBits(src, dst int, bits []uint64) []uint64 {
 		}
 		return bits
 	}
-	var sHigh, dHigh [maxHeight + 1]int
+	var sHigh, dHigh [MaxHeight + 1]int
 	sHigh[1], dHigh[1] = src, dst
 	for j := 2; j <= k; j++ {
 		sHigh[j] = sHigh[j-1] / t.m[j-1]
@@ -344,7 +344,7 @@ func (f *FaultSet) AlivePathBits(src, dst int, bits []uint64) []uint64 {
 // to the path index (u_1 is the most significant digit, mirroring the
 // decode in AppendPathSetLinks); stride is the index weight of the
 // digit chosen at this level before division, i.e. Π_{i=j..k} w_i.
-func (f *FaultSet) alivePathBitsFrom(j, k, uLow, idx, stride int, sHigh, dHigh *[maxHeight + 1]int, bits []uint64) {
+func (f *FaultSet) alivePathBitsFrom(j, k, uLow, idx, stride int, sHigh, dHigh *[MaxHeight + 1]int, bits []uint64) {
 	t := f.topo
 	base := t.edgeOffset[j-1]
 	stride /= t.w[j]

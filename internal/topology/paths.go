@@ -89,7 +89,7 @@ func (t *Topology) AppendPathLinksNCA(buf []LinkID, src, dst, k int, up []int) [
 	}
 	// Down links, from tier k-1 back to tier 0. First strip dst's k low
 	// digits; then re-add them most-significant-first as we descend.
-	var dLow [maxHeight + 1]int
+	var dLow [MaxHeight + 1]int
 	for j := 1; j <= k; j++ {
 		dLow[j] = dHigh % t.m[j]
 		dHigh /= t.m[j]
@@ -110,55 +110,76 @@ func (t *Topology) AppendPathLinksNCA(buf []LinkID, src, dst, k int, up []int) [
 // decoding each index and calling AppendPathLinksNCA, factored as in
 // LinkExpander: the level-j link IDs of path idx are
 //
-//	up   = 2·(edgeOffset[j-1] + sHigh_j·WProd(j)) + off_j(idx)
-//	down = 2·(edgeOffset[j-1] + dHigh_j·WProd(j)) + 1 + off_j(idx)
+//	up   = 2·(edgeOffset[j-1] + up_j + off_j(idx))
+//	down = 2·(edgeOffset[j-1] + down_j + off_j(idx)) + 1
 //
-// where the bases depend only on the pair, so they are computed once,
-// and off_j(idx) = 2·(uLow_j·w_j + u_j) depends only on the index, so
-// it is read from a per-topology table. Indices are not validated.
+// where the bases up_j and down_j depend only on the pair, so they are
+// computed once (PathEdgeBases), and off_j(idx) depends only on the
+// index, so it is read from a per-topology table (PathOffsetTable).
+// Indices are not validated.
 func (t *Topology) AppendPathSetLinksNCA(buf []LinkID, src, dst, k int, idxs []int) []LinkID {
-	var upBase, downBase [maxHeight]int
-	s, d := src, dst
-	for j := 1; j <= k; j++ {
-		upBase[j-1] = 2 * (t.edgeOffset[j-1] + s*t.wprod[j])
-		downBase[j-1] = 2*(t.edgeOffset[j-1]+d*t.wprod[j]) + 1
-		s /= t.m[j]
-		d /= t.m[j]
+	var upBase, downBase [MaxHeight]int
+	t.PathEdgeBases(src, k, upBase[:])
+	t.PathEdgeBases(dst, k, downBase[:])
+	for j := 0; j < k; j++ {
+		upBase[j] = 2 * (t.edgeOffset[j] + upBase[j])
+		downBase[j] = 2*(t.edgeOffset[j]+downBase[j]) + 1
 	}
 	n := len(buf)
 	buf = slices.Grow(buf, 2*k*len(idxs))[:n+2*k*len(idxs)]
 	offs := t.pathOff[k]
-	var dec [maxHeight]int32
+	var dec [MaxHeight]int32
 	for _, idx := range idxs {
 		row := dec[:k]
 		if offs != nil {
 			row = offs[idx*k : idx*k+k]
 		} else {
-			t.pathOffsets(k, idx, row)
+			t.PathOffsets(k, idx, row)
 		}
 		out := buf[n : n+2*k]
 		for j, o := range row {
-			out[j] = LinkID(upBase[j] + int(o))
-			out[2*k-1-j] = LinkID(downBase[j] + int(o))
+			out[j] = LinkID(upBase[j] + 2*int(o))
+			out[2*k-1-j] = LinkID(downBase[j] + 2*int(o))
 		}
 		n += 2 * k
 	}
 	return buf
 }
 
-// pathOffsets writes off_j(idx) = 2·(uLow_j·w_j + u_j) for j = 1..k
-// into row[j-1]: the part of path idx's level-j link IDs that does not
-// depend on the pair. It fits int32 because uLow_j·w_j + u_j <
-// WProd(j) <= 2^30.
-func (t *Topology) pathOffsets(k, idx int, row []int32) {
-	var u [maxHeight + 1]int
+// PathEdgeBases writes, for j = 1..k, where the level-j edges of the
+// paths that start or end at processor p begin within their tier (the
+// CablesAtTier(j-1) cables between levels j-1 and j, numbered from 0):
+// base[j-1] is the first of the WProd(j) cables leaving p's
+// height-(j-1) subtree. A src→dst pair with NCA level k climbs tier
+// edge base_src[j-1] + off_j(idx) on canonical path idx and descends
+// base_dst[j-1] + off_j(idx) (see PathOffsets).
+func (t *Topology) PathEdgeBases(p, k int, base []int) {
+	for j := 1; j <= k; j++ {
+		base[j-1] = p * t.wprod[j]
+		p /= t.m[j]
+	}
+}
+
+// PathOffsetTable returns PathOffsets of every canonical level-k path,
+// row-major: entries [idx·k, idx·k+k) are path idx's row. It is nil
+// for levels whose table would exceed maxPathOffEntries entries; call
+// PathOffsets per path there. The slice must not be modified.
+func (t *Topology) PathOffsetTable(k int) []int32 { return t.pathOff[k] }
+
+// PathOffsets writes off_j(idx) = uLow_j·w_j + u_j for j = 1..k into
+// row[j-1]: the part of path idx's level-j edges that does not depend
+// on the pair (see PathEdgeBases). off_j is a bijection from the top j
+// digits u_1..u_j of idx onto [0, WProd(j)), so paths share their
+// level-j links exactly when they share those digits.
+func (t *Topology) PathOffsets(k, idx int, row []int32) {
+	var u [MaxHeight + 1]int
 	for j := k; j >= 1; j-- {
 		u[j] = idx % t.w[j]
 		idx /= t.w[j]
 	}
 	uLow := 0
 	for j := 1; j <= k; j++ {
-		row[j-1] = int32(2 * (uLow*t.w[j] + u[j]))
+		row[j-1] = int32(uLow*t.w[j] + u[j])
 		uLow += u[j] * t.wprod[j-1]
 	}
 }

@@ -17,9 +17,9 @@ import (
 	"strings"
 )
 
-// maxHeight bounds the tree height; real installations use h <= 4 and
+// MaxHeight bounds the tree height; real installations use h <= 4 and
 // the bound lets hot paths use fixed-size digit buffers.
-const maxHeight = 16
+const MaxHeight = 16
 
 // NodeID identifies a node (processing node or switch) in an XGFT.
 // IDs are dense: all level-0 nodes first, then level 1, and so on.
@@ -50,7 +50,7 @@ type Topology struct {
 
 	// pathOff[k][idx·k + j-1] is the pair-independent part of the
 	// level-j link IDs of canonical level-k path idx (see
-	// pathOffsets); nil for levels above maxPathOffEntries entries.
+	// PathOffsets); nil for levels above maxPathOffEntries entries.
 	pathOff [][]int32
 }
 
@@ -67,8 +67,8 @@ func New(h int, m, w []int) (*Topology, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("topology: height h must be >= 1, got %d", h)
 	}
-	if h > maxHeight {
-		return nil, fmt.Errorf("topology: height h must be <= %d, got %d", maxHeight, h)
+	if h > MaxHeight {
+		return nil, fmt.Errorf("topology: height h must be <= %d, got %d", MaxHeight, h)
 	}
 	if len(m) != h || len(w) != h {
 		return nil, fmt.Errorf("topology: need exactly h=%d arities, got |m|=%d |w|=%d", h, len(m), len(w))
@@ -121,7 +121,7 @@ func New(h int, m, w []int) (*Topology, error) {
 		if x := t.wprod[k]; x*k <= maxPathOffEntries {
 			t.pathOff[k] = make([]int32, x*k)
 			for idx := 0; idx < x; idx++ {
-				t.pathOffsets(k, idx, t.pathOff[k][idx*k:idx*k+k])
+				t.PathOffsets(k, idx, t.pathOff[k][idx*k:idx*k+k])
 			}
 		}
 	}
