@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-compare ci cover repro repro-full clean
+.PHONY: all build vet test test-short bench bench-json bench-compare ci flit-golden cover repro repro-full clean
 
 all: build vet test
 
@@ -91,8 +91,9 @@ endif
 # cache — its random-K column is the one that builds tables, so the
 # warm run must record cache hits, and the closed-form columns must
 # report derived rows — then vets and short-tests the benchmark module,
-# which tier-1 `go test ./...` does not reach. Smoke output goes to a
-# temporary directory that is removed on exit.
+# which tier-1 `go test ./...` does not reach, and ends with
+# flit-golden. Smoke output goes to a temporary directory that is
+# removed on exit.
 ci: vet
 	$(GO) test -short -race ./...
 	$(GO) test -race -run 'Repair|Wedge|Drain|Degraded|Failure|MultiKExperiment' ./internal/core ./internal/flit ./internal/flow ./internal/lid
@@ -117,6 +118,15 @@ ci: vet
 		|| { echo "ci: mega run derived zero rows: closed-form schemes built tables"; exit 1; }; \
 	echo ci: mega segment cache and table-free path ok
 	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test -short ./...
+	$(MAKE) flit-golden
+
+# One full-scale round of the flit-paper benchmark workload at its
+# recorded seed (~12 s of simulation after the build). It exits non-zero
+# on any failed check, including "simulated statistics == golden"
+# against benchmark/golden/flit-paper.json, which the smoke-scale
+# benchmark tests never reach.
+flit-golden:
+	bash benchmark/run.sh --workload flit-paper --seed 2012 --seconds 1
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -20

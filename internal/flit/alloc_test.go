@@ -15,46 +15,65 @@ import (
 	"xgftsim/internal/traffic"
 )
 
-// TestEngineSteadyStateAllocs warms an engine past its transient
-// growth phase, then requires additional simulated cycles to run
-// allocation-free (amortized below one allocation per 2000 cycles).
-func TestEngineSteadyStateAllocs(t *testing.T) {
+// allocCfg is the shared shape of the allocation pins: a 16-node
+// fabric under a derangement at load 0.6, with a far-away end that
+// keeps injections flowing for every measured window (the tests never
+// run anywhere near that horizon).
+func allocCfg(t *testing.T, permSeed, seed int64, sel OutputSelector) Config {
+	t.Helper()
 	tp := topology.MustNew(2, []int{4, 4}, []int{1, 4})
-	perm := traffic.RandomDerangementish(tp.NumProcessors(), rand.New(rand.NewSource(9)))
+	perm := traffic.RandomDerangementish(tp.NumProcessors(), rand.New(rand.NewSource(permSeed)))
 	cfg, err := Config{
-		Routing:      core.NewRouting(tp, core.Disjoint{}, 4, 0),
-		Pattern:      traffic.NewPermutationPattern("alloc", perm),
-		OfferedLoad:  0.6,
-		WarmupCycles: 1000,
-		// A far-away end keeps injections flowing for every measured
-		// window; the test never runs anywhere near this horizon.
+		Routing:       core.NewRouting(tp, core.Disjoint{}, 4, 0),
+		Pattern:       traffic.NewPermutationPattern("alloc", perm),
+		OfferedLoad:   0.6,
+		WarmupCycles:  1000,
 		MeasureCycles: 100_000_000,
-		Seed:          5,
+		Seed:          seed,
+		Selector:      sel,
 	}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cfg
+}
+
+// pinSteadyState warms an engine past its transient growth phase
+// (route caches, arenas, wheel buckets), then requires 2000 more
+// simulated cycles to run allocation-free (amortized below one
+// allocation per window). It returns the engine for further checks.
+func pinSteadyState(t *testing.T, cfg Config, warm int64) *engine {
+	t.Helper()
 	e := newEngine(cfg)
-	if e.rrPathDense == nil {
-		t.Fatal("small topology did not get the dense round-robin table")
-	}
 	e.start()
-	e.loop(20_000) // transient: route cache, arenas and queues fill
+	e.loop(warm)
 	if e.pktsInFlight == 0 {
 		t.Fatal("no traffic in flight after warmup; test would measure an idle loop")
 	}
-	// The metric tallies (VC stalls, injection-heap high water) are part
-	// of the measured loop, so this pin also guarantees metric
-	// increments allocate nothing.
-	stallsBefore := e.vcStalls
 	allocs := testing.AllocsPerRun(5, func() {
 		e.loop(e.now + 2000)
 	})
 	if allocs >= 1 {
-		t.Errorf("steady-state loop allocates %.0f times per 2000 cycles; want 0", allocs)
+		t.Errorf("%v steady-state loop allocates %.0f times per 2000 cycles; want 0", cfg.Selector, allocs)
 	}
-	if e.vcStalls == stallsBefore {
-		t.Log("no VC stalls observed in the pinned window (load too light to exercise the stall tally)")
+	return e
+}
+
+// TestEngineSteadyStateAllocs pins the oblivious loop, then adaptive-K
+// over three VCs assigned by destination subtree, which drives the
+// ring queues, the queued-inbound masks and the per-port path masks on
+// every channel.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	cfg := allocCfg(t, 9, 5, SelectOblivious)
+	if e := newEngine(cfg); e.rrPathDense == nil {
+		t.Fatal("small topology did not get the dense round-robin table")
+	}
+	// The metric tallies (VC stalls, injection-heap high water) are part
+	// of the measured loop, so this pin also guarantees metric
+	// increments allocate nothing.
+	e := pinSteadyState(t, cfg, 20_000)
+	if e.vcStalls == 0 {
+		t.Log("no VC stalls observed (load too light to exercise the stall tally)")
 	}
 	if e.injHeapHW == 0 {
 		t.Error("injection-heap high-water tally never moved")
@@ -65,64 +84,25 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if fold := testing.AllocsPerRun(5, e.foldMetrics); fold != 0 {
 		t.Errorf("foldMetrics allocates %.1f times; want 0", fold)
 	}
+
+	cfg = allocCfg(t, 13, 7, SelectAdaptiveK)
+	cfg.VirtualChannels, cfg.VCScheme = 3, VCDestSubtree
+	if e := pinSteadyState(t, cfg, 200_000); e.vcs != 3 {
+		t.Fatalf("engine runs %d VCs, want 3", e.vcs)
+	}
 }
 
 // TestEngineAdaptiveSteadyStateAllocs covers the adaptive path (no
 // source routes, per-hop port choice), which shares the injection and
-// event machinery.
+// event machinery. Adaptive queues reach their high-water occupancy
+// more slowly than source-routed ones, so it warms much longer.
 func TestEngineAdaptiveSteadyStateAllocs(t *testing.T) {
-	tp := topology.MustNew(2, []int{4, 4}, []int{1, 4})
-	perm := traffic.RandomDerangementish(tp.NumProcessors(), rand.New(rand.NewSource(11)))
-	cfg, err := Config{
-		Routing:       core.NewRouting(tp, core.Disjoint{}, 4, 0),
-		Pattern:       traffic.NewPermutationPattern("alloc-adaptive", perm),
-		OfferedLoad:   0.6,
-		WarmupCycles:  1000,
-		MeasureCycles: 100_000_000,
-		Seed:          7,
-		Adaptive:      true,
-	}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(cfg)
-	e.start()
-	// Adaptive queues reach their high-water occupancy more slowly than
-	// source-routed ones, so warm much longer before pinning.
-	e.loop(200_000)
-	allocs := testing.AllocsPerRun(5, func() {
-		e.loop(e.now + 2000)
-	})
-	if allocs >= 1 {
-		t.Errorf("adaptive steady-state loop allocates %.0f times per 2000 cycles; want 0", allocs)
-	}
+	pinSteadyState(t, allocCfg(t, 11, 7, SelectAdaptive), 200_000)
 }
 
 // TestEngineAdaptiveKSteadyStateAllocs covers the adaptive-K selector,
-// whose per-hop mask scatter and per-pair path-index cache must stay
+// whose per-pair path cache (path indices and port masks) must stay
 // off the allocator once every pair has been seen.
 func TestEngineAdaptiveKSteadyStateAllocs(t *testing.T) {
-	tp := topology.MustNew(2, []int{4, 4}, []int{1, 4})
-	perm := traffic.RandomDerangementish(tp.NumProcessors(), rand.New(rand.NewSource(13)))
-	cfg, err := Config{
-		Routing:       core.NewRouting(tp, core.Disjoint{}, 4, 0),
-		Pattern:       traffic.NewPermutationPattern("alloc-adaptivek", perm),
-		OfferedLoad:   0.6,
-		WarmupCycles:  1000,
-		MeasureCycles: 100_000_000,
-		Seed:          7,
-		Selector:      SelectAdaptiveK,
-	}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(cfg)
-	e.start()
-	e.loop(200_000)
-	allocs := testing.AllocsPerRun(5, func() {
-		e.loop(e.now + 2000)
-	})
-	if allocs >= 1 {
-		t.Errorf("adaptive-K steady-state loop allocates %.0f times per 2000 cycles; want 0", allocs)
-	}
+	pinSteadyState(t, allocCfg(t, 13, 7, SelectAdaptiveK), 200_000)
 }

@@ -2,6 +2,7 @@ package flit
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"xgftsim/internal/stats"
@@ -38,14 +39,13 @@ type message struct {
 }
 
 type packet struct {
-	msg   int32   // message arena index
-	route []int   // output port at the i-th node on the path; nil => adaptive
-	pidx  []int32 // adaptive-K: the pair's compiled path indices (shared, immutable)
-	mask  uint64  // adaptive-K: bit i set while path pidx[i] is still reachable
-	hop   int     // index into route of the link queue the packet is in
-	dst   int32   // destination processor
-	nca   int8    // adaptive-K: the pair's nearest-common-ancestor level
-	vc    int8    // virtual channel, fixed for the packet's lifetime
+	msg   int32      // message arena index
+	route []int      // output port at the i-th node on the path; nil => adaptive
+	paths *pathEntry // adaptive-K: the pair's compiled paths (shared, immutable)
+	mask  uint64     // adaptive-K: bit i set while path paths.idxs[i] is still reachable
+	hop   int        // index into route of the link queue the packet is in
+	dst   int32      // destination processor
+	vc    int8       // virtual channel, fixed for the packet's lifetime
 	flits int
 }
 
@@ -152,15 +152,31 @@ type engine struct {
 	freeMsg []int32
 
 	// Per queue (link*V + vc): output queue state at the sending side.
-	outQ [][]int32
-	occ  []int // reserved slots (inbound + queued + draining tails)
+	// Queue q is a ring over qBuf[q*B : (q+1)*B] (B = BufferPackets,
+	// which occ caps every queue at) holding qLen[q] packets from
+	// qHead[q].
+	qBuf  []int32
+	qHead []int32
+	qLen  []int32
+	occ   []int // reserved slots (inbound + queued + draining tails)
+	bufB  int32 // BufferPackets
 
 	// Per physical link.
-	linkFree []int64
-	linkRR   []int32   // VC arbitration pointer
-	rrIdx    []int     // feeder arbitration pointer
-	feeders  [][]int32 // upstream links whose packets can enter this link's queues
-	failed   []bool    // down for the whole run
+	linkFree   []int64
+	linkRR     []int32   // VC arbitration pointer
+	rrIdx      []int     // feeder arbitration pointer
+	feeders    [][]int32 // upstream links whose packets can enter this link's queues
+	failed     []bool    // down for the whole run
+	linkQueued []int32   // packets queued over all of the link's VCs
+
+	// queuedIn has one bit per inbound link of every node, set while
+	// the link holds a queued packet: node n's inbound links (in
+	// feeders order) own the words from inOff[n], and link l's bit is
+	// inBit[l] of word inWord[l]. A freed slot probes only the set bits.
+	queuedIn []uint64
+	inOff    []int32
+	inWord   []int32
+	inBit    []uint64
 
 	// Link endpoint tables (LinkEndpoints is arithmetic-heavy).
 	linkSrc []topology.NodeID
@@ -175,16 +191,14 @@ type engine struct {
 
 	// Adaptive-routing tables (see the selectors in selector.go).
 	nodeLevel  []int8
-	subtreeIdx []int32 // height-l subtree copy a switch roots
-	adaptRR    []int32 // per-node up-port rotation for tie-breaking
-	mLow       []int   // mLow[l] = Π_{i=1..l} m_i
-	mArr       []int   // mArr[l] = m_l
-	w          []int   // w[l] = w_l (up-port count of a level l-1 node)
-	wprod      []int   // wprod[l] = Π_{i=1..l} w_i
-	h          int     // tree height
-	portMask   []uint64 // adaptive-K per-up-port path-mask scratch
-	pathIdx    map[int64]pathEntry // adaptive-K engine-local path-index cache
-	vcSubDiv   int     // processors per top-level subtree (VCDestSubtree)
+	subtreeIdx []int32              // height-l subtree copy a switch roots
+	adaptRR    []int32              // per-node up-port rotation for tie-breaking
+	mLow       []int                // mLow[l] = Π_{i=1..l} m_i
+	mArr       []int                // mArr[l] = m_l
+	w          []int                // w[l] = w_l (up-port count of a level l-1 node)
+	h          int                  // tree height
+	pathIdx    map[int64]*pathEntry // adaptive-K engine-local path cache
+	vcSubDiv   int                  // processors per top-level subtree (VCDestSubtree)
 
 	// Routing caches. The round-robin pointers live in a dense array
 	// keyed by pair id for topologies up to rrDenseLimit pairs (a
@@ -251,8 +265,12 @@ func newEngine(cfg Config) *engine {
 	e.wheel = make([][]wheelEvent, e.wheelSpan)
 	nl := t.NumLinks()
 	nq := nl * e.vcs
-	e.outQ = make([][]int32, nq)
+	e.bufB = int32(cfg.BufferPackets)
+	e.qBuf = make([]int32, nq*cfg.BufferPackets)
+	e.qHead = make([]int32, nq)
+	e.qLen = make([]int32, nq)
 	e.occ = make([]int, nq)
+	e.linkQueued = make([]int32, nl)
 	e.linkFree = make([]int64, nl)
 	e.linkRR = make([]int32, nl)
 	e.rrIdx = make([]int, nl)
@@ -290,6 +308,19 @@ func newEngine(cfg Config) *engine {
 			e.feeders[l] = inbound[src]
 		}
 	}
+	e.inOff = make([]int32, nn+1)
+	for n := 0; n < nn; n++ {
+		e.inOff[n+1] = e.inOff[n] + int32((len(inbound[n])+63)/64)
+	}
+	e.queuedIn = make([]uint64, e.inOff[nn])
+	e.inWord = make([]int32, nl)
+	e.inBit = make([]uint64, nl)
+	for n, in := range inbound {
+		for i, l := range in {
+			e.inWord[l] = e.inOff[n] + int32(i/64)
+			e.inBit[l] = 1 << uint(i%64)
+		}
+	}
 	e.nodeLevel = make([]int8, nn)
 	e.subtreeIdx = make([]int32, nn)
 	e.adaptRR = make([]int32, nn)
@@ -297,18 +328,11 @@ func newEngine(cfg Config) *engine {
 	e.mLow = make([]int, e.h+1)
 	e.mArr = make([]int, e.h+1)
 	e.w = make([]int, e.h+1)
-	e.wprod = make([]int, e.h+1)
 	e.mLow[0] = 1
-	e.wprod[0] = 1
-	maxW := 0
 	for l := 1; l <= e.h; l++ {
 		e.mArr[l] = t.M(l)
 		e.mLow[l] = e.mLow[l-1] * e.mArr[l]
 		e.w[l] = t.W(l)
-		e.wprod[l] = t.WProd(l)
-		if e.w[l] > maxW {
-			maxW = e.w[l]
-		}
 	}
 	e.vcSubDiv = e.mLow[e.h-1]
 	e.sel = cfg.Selector
@@ -319,9 +343,8 @@ func newEngine(cfg Config) *engine {
 		e.hop = adaptiveSel{}
 	case SelectAdaptiveK:
 		e.hop = adaptiveKSel{}
-		e.portMask = make([]uint64, maxW)
 		if cfg.Routes == nil {
-			e.pathIdx = make(map[int64]pathEntry)
+			e.pathIdx = make(map[int64]*pathEntry)
 		}
 	default:
 		e.hop = obliviousSel{}
@@ -370,6 +393,47 @@ func (e *engine) qid(l int32, vc int8) int32 { return l*int32(e.vcs) + int32(vc)
 
 // qlink recovers the physical link of a queue id.
 func (e *engine) qlink(q int32) int32 { return q / int32(e.vcs) }
+
+// qFront is the packet at the head of non-empty queue q.
+func (e *engine) qFront(q int32) int32 { return e.qBuf[q*e.bufB+e.qHead[q]] }
+
+// enqueue appends packet idx to queue q of link l. The caller has
+// reserved the slot (occ), so the ring cannot overflow.
+func (e *engine) enqueue(q, l, idx int32) {
+	pos := e.qHead[q] + e.qLen[q]
+	if pos >= e.bufB {
+		pos -= e.bufB
+	}
+	e.qBuf[q*e.bufB+pos] = idx
+	e.qLen[q]++
+	if e.linkQueued[l]++; e.linkQueued[l] == 1 {
+		e.queuedIn[e.inWord[l]] |= e.inBit[l]
+	}
+}
+
+// dequeue pops the head of non-empty queue q of link l.
+func (e *engine) dequeue(q, l int32) {
+	if e.qHead[q]++; e.qHead[q] == e.bufB {
+		e.qHead[q] = 0
+	}
+	e.qLen[q]--
+	if e.linkQueued[l]--; e.linkQueued[l] == 0 {
+		e.queuedIn[e.inWord[l]] &^= e.inBit[l]
+	}
+}
+
+// nextQueued returns the first position >= j among the inbound links
+// whose bits start at word off that holds a queued packet, or a value
+// >= hi when there is none below hi.
+func (e *engine) nextQueued(off int32, j, hi int) int {
+	for j < hi {
+		if w := e.queuedIn[int(off)+j>>6] >> uint(j&63); w != 0 {
+			return j + bits.TrailingZeros64(w)
+		}
+		j = (j | 63) + 1
+	}
+	return hi
+}
 
 // schedule places a network event delta cycles ahead (0 < delta <
 // wheelSpan).
@@ -431,27 +495,21 @@ func (e *engine) routesFor(pair int64, src, dst int) [][]int {
 	return r
 }
 
-// pathsFor returns the pair's compiled path indices and NCA level for
-// the adaptive-K selector, consulting the shared sweep-level table when
-// one is configured. The healthy path set is always used — adaptive-K
-// steers around failures at run time, not by reselection. The returned
-// slice is cached and immutable; packets alias it without copying.
-func (e *engine) pathsFor(pair int64, src, dst int) ([]int32, int8) {
+// pathsFor returns the pair's compiled paths for the adaptive-K
+// selector, consulting the shared sweep-level table when one is
+// configured. The healthy path set is always used — adaptive-K steers
+// around failures at run time, not by reselection. The returned entry
+// is cached and immutable; packets alias it without copying.
+func (e *engine) pathsFor(pair int64, src, dst int) *pathEntry {
 	if e.cfg.Routes != nil {
-		idxs, nca := e.cfg.Routes.PathIndicesFor(src, dst)
-		return idxs, int8(nca)
+		return e.cfg.Routes.entry(src, dst)
 	}
 	if ent, ok := e.pathIdx[pair]; ok {
-		return ent.idxs, ent.nca
+		return ent
 	}
-	ids := e.cfg.Routing.Paths(src, dst)
-	idxs := make([]int32, len(ids))
-	for i, id := range ids {
-		idxs[i] = int32(id)
-	}
-	ent := pathEntry{idxs: idxs, nca: int8(e.topo.NCALevel(src, dst))}
+	ent := newPathEntry(e.topo, pathIndices(e.cfg.Routing, src, dst), e.topo.NCALevel(src, dst))
 	e.pathIdx[pair] = ent
-	return ent.idxs, ent.nca
+	return ent
 }
 
 // pickRoute applies the path policy to a non-empty route set.
@@ -536,9 +594,8 @@ func (e *engine) injectOne(node int, now int64) {
 		return // pattern chose a self-destination; nothing to send
 	}
 	var route []int
-	var pidx []int32
+	var paths *pathEntry
 	var mask uint64
-	var nca int8
 	switch e.sel {
 	case SelectOblivious:
 		pair := int64(node)*int64(e.numProc) + int64(dst)
@@ -553,12 +610,12 @@ func (e *engine) injectOne(node int, now int64) {
 		route = e.pickRoute(routes, pair)
 	case SelectAdaptiveK:
 		pair := int64(node)*int64(e.numProc) + int64(dst)
-		pidx, nca = e.pathsFor(pair, node, dst)
-		if len(pidx) == 0 {
+		paths = e.pathsFor(pair, node, dst)
+		if len(paths.idxs) == 0 {
 			e.msgsUnroutable++
 			return
 		}
-		mask = fullMask(len(pidx))
+		mask = fullMask(len(paths.idxs))
 	}
 	vc := e.vcFor(node, dst)
 	measured := now >= e.warmEnd && now < e.endTime
@@ -574,9 +631,8 @@ func (e *engine) injectOne(node int, now int64) {
 		idx := e.allocPacket(packet{
 			msg:   msg,
 			route: route,
-			pidx:  pidx,
+			paths: paths,
 			mask:  mask,
-			nca:   nca,
 			dst:   int32(dst),
 			vc:    vc,
 			flits: e.cfg.FlitsPerPacket,
@@ -612,7 +668,7 @@ func (e *engine) drainInjection(node int, now int64) {
 		e.hop.commit(e, topology.NodeID(node), p, c)
 		qi := e.qid(c.link, p.vc)
 		e.occ[qi]++
-		e.outQ[qi] = append(e.outQ[qi], idx)
+		e.enqueue(qi, c.link, idx)
 		e.tryStart(c.link, now)
 	}
 }
@@ -638,25 +694,25 @@ func (e *engine) discard(idx int32, dead int32) {
 	}
 	p.msg = -1
 	p.route = nil
-	p.pidx = nil
+	p.paths = nil
 	e.freePkt = append(e.freePkt, idx)
 }
 
 // tryStart attempts to begin a transmission on link l, arbitrating
 // round-robin across its VC queues. Safe to call speculatively: all
-// gates re-checked.
+// gates re-checked, and a call that starts nothing changes no state.
 func (e *engine) tryStart(l int32, now int64) {
-	if e.failed[l] || e.linkFree[l] > now {
+	if e.linkQueued[l] == 0 || e.failed[l] || e.linkFree[l] > now {
 		return
 	}
 	start := int(e.linkRR[l])
 	for i := 0; i < e.vcs; i++ {
 		vc := int8((start + i) % e.vcs)
 		q := e.qid(l, vc)
-		if len(e.outQ[q]) == 0 {
+		if e.qLen[q] == 0 {
 			continue
 		}
-		idx := e.outQ[q][0]
+		idx := e.qFront(q)
 		p := &e.packets[idx]
 		var last bool
 		if p.route != nil {
@@ -678,9 +734,7 @@ func (e *engine) tryStart(l int32, now int64) {
 				// instead of wedging the fabric behind it. The slot it
 				// held drains through the ordinary evFree path, which
 				// also re-arms this link and unblocks upstream feeders.
-				qq := e.outQ[q]
-				copy(qq, qq[1:])
-				e.outQ[q] = qq[:len(qq)-1]
+				e.dequeue(q, l)
 				e.schedule(now, now+1, evFree, q, -1)
 				e.discard(idx, c.dead)
 				return
@@ -692,9 +746,7 @@ func (e *engine) tryStart(l int32, now int64) {
 		// Commit: pop, busy the link, free our slot when the tail
 		// leaves.
 		f := int64(p.flits)
-		qq := e.outQ[q]
-		copy(qq, qq[1:])
-		e.outQ[q] = qq[:len(qq)-1]
+		e.dequeue(q, l)
 		e.linkFree[l] = now + f
 		e.linkRR[l] = int32((int(vc) + 1) % e.vcs)
 		e.linkStarts[l]++
@@ -712,6 +764,13 @@ func (e *engine) tryStart(l int32, now int64) {
 // free handles the tail of a transmission leaving queue q: the link
 // idles and the queue slot returns, unblocking the next local packet,
 // upstream senders (round-robin) and the injection queue.
+//
+// The upstream senders are probed in round-robin order from rrIdx[l],
+// stopping once the slot is taken again, but only those holding a
+// queued packet: a probe of an empty feeder would start nothing and
+// change no state or tally, so skipping it leaves the run unchanged.
+// Probing starts nothing synchronously on another feeder's queue, so
+// the set bits can be read live as the walk advances.
 func (e *engine) free(q int32, now int64) {
 	e.occ[q]--
 	if e.occ[q] < 0 {
@@ -724,17 +783,22 @@ func (e *engine) free(q int32, now int64) {
 		e.drainInjection(src, now)
 		return
 	}
-	fs := e.feeders[l]
-	start := e.rrIdx[l]
-	for i := 0; i < len(fs); i++ {
-		li := fs[(start+i)%len(fs)]
-		e.tryStart(li, now)
+	// Walk the set bits of [start, n), then of [0, start).
+	fs, start, off := e.feeders[l], e.rrIdx[l], e.inOff[src]
+	for j, hi := start, len(fs); ; j++ {
+		if j = e.nextQueued(off, j, hi); j >= hi {
+			if hi == start {
+				return
+			}
+			j, hi = -1, start
+			continue
+		}
+		e.tryStart(fs[j], now)
 		if e.occ[q] >= e.cfg.BufferPackets {
-			e.rrIdx[l] = (start + i + 1) % len(fs)
+			e.rrIdx[l] = (j + 1) % len(fs)
 			return
 		}
 	}
-	e.rrIdx[l] = start
 }
 
 // deliver finalizes a packet at its destination.
@@ -763,7 +827,7 @@ func (e *engine) deliver(idx int32, now int64) {
 	}
 	p.msg = -1
 	p.route = nil
-	p.pidx = nil
+	p.paths = nil
 	e.freePkt = append(e.freePkt, idx)
 }
 
@@ -835,13 +899,13 @@ func (e *engine) loop(limit int64) {
 		for _, ev := range scratch {
 			switch ev.kind {
 			case evArrive:
-				q := ev.a
-				if len(e.outQ[q]) >= e.cfg.BufferPackets {
+				q, l := ev.a, e.qlink(ev.a)
+				if e.qLen[q] >= e.bufB {
 					panic("flit: queue overflow") // invariant guard
 				}
-				e.outQ[q] = append(e.outQ[q], ev.pkt)
-				if len(e.outQ[q]) == 1 {
-					e.tryStart(e.qlink(q), now)
+				e.enqueue(q, l, ev.pkt)
+				if e.qLen[q] == 1 {
+					e.tryStart(l, now)
 				}
 			case evDeliver:
 				e.deliver(ev.pkt, now)
@@ -915,11 +979,11 @@ func (e *engine) result() Result {
 // stallDiagnosis names an exemplar permanently blocked packet and why
 // it cannot move, for the watchdog's report.
 func (e *engine) stallDiagnosis() string {
-	for q, pkts := range e.outQ {
-		if len(pkts) == 0 {
+	for q := range e.qLen {
+		if e.qLen[q] == 0 {
 			continue
 		}
-		p := &e.packets[pkts[0]]
+		p := &e.packets[e.qFront(int32(q))]
 		l := e.qlink(int32(q))
 		why := "downstream buffers never free"
 		switch {

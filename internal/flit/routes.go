@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"xgftsim/internal/core"
+	"xgftsim/internal/topology"
 )
 
 // RouteTable is a thread-safe cache of per-pair port routes shared
@@ -21,16 +22,54 @@ type RouteTable struct {
 
 	mu     sync.RWMutex
 	routes map[int64][][]int
-	paths  map[int64]pathEntry // adaptive-K: per-pair path indices + NCA level
+	paths  map[int64]*pathEntry // adaptive-K: per-pair paths and port masks
 }
 
-// pathEntry caches one pair's compiled path indices for the adaptive-K
-// selector: the canonical path-index slice (immutable, aliased by
-// every packet of the pair) and the pair's nearest-common-ancestor
-// level, which fixes the mixed-radix digit decomposition.
+// pathEntry caches one pair's compiled paths for the adaptive-K
+// selector: the canonical path-index slice, the pair's
+// nearest-common-ancestor level, and per upward level l < nca the mask
+// of the paths leaving a level-l node through each up-port:
+// ports[l][pt] has bit i set when path idxs[i] takes up-port pt there.
+// Entries are immutable and aliased by every packet of the pair.
 type pathEntry struct {
-	idxs []int32
-	nca  int8
+	idxs  []int32
+	nca   int8
+	ports [][]uint64
+}
+
+// newPathEntry precomputes the per-level port masks of a pair's paths.
+// Path index digits are mixed-radix over the up-choices with u_1 most
+// significant: the up-port at level l of a pair with NCA level k is
+// idx / (WProd(k)/WProd(l+1)) % w_{l+1}. Path i contributes bit i, so
+// only the first 64 paths are tracked (adaptive-K's validated limit).
+func newPathEntry(t *topology.Topology, idxs []int32, nca int) *pathEntry {
+	ent := &pathEntry{idxs: idxs, nca: int8(nca), ports: make([][]uint64, nca)}
+	total := 0
+	for l := 0; l < nca; l++ {
+		total += t.W(l + 1)
+	}
+	masks := make([]uint64, total)
+	for l := 0; l < nca; l++ {
+		ups := t.W(l + 1)
+		ent.ports[l], masks = masks[:ups:ups], masks[ups:]
+		div := int32(t.WProd(nca) / t.WProd(l+1))
+		for i, idx := range idxs {
+			if i < 64 {
+				ent.ports[l][int(idx/div)%ups] |= 1 << uint(i)
+			}
+		}
+	}
+	return ent
+}
+
+// pathIndices is the healthy routing's path-index set of a pair.
+func pathIndices(r *core.Routing, src, dst int) []int32 {
+	ids := r.Paths(src, dst)
+	idxs := make([]int32, len(ids))
+	for i, id := range ids {
+		idxs[i] = int32(id)
+	}
+	return idxs
 }
 
 // NewRouteTable creates a shared route cache for r. compiled may be
@@ -45,7 +84,7 @@ func NewRouteTable(r *core.Routing, compiled *core.CompiledRouting) *RouteTable 
 		compiled: compiled,
 		n:        r.Topology().NumProcessors(),
 		routes:   make(map[int64][][]int),
-		paths:    make(map[int64]pathEntry),
+		paths:    make(map[int64]*pathEntry),
 	}
 }
 
@@ -75,7 +114,7 @@ func NewRepairedRouteTable(rr *core.RepairedRouting, compiled *core.CompiledRout
 		compiled: compiled,
 		n:        rr.Topology().NumProcessors(),
 		routes:   make(map[int64][][]int),
-		paths:    make(map[int64]pathEntry),
+		paths:    make(map[int64]*pathEntry),
 	}
 }
 
@@ -117,29 +156,33 @@ func (rt *RouteTable) RoutesFor(src, dst int) [][]int {
 // run time, so repair never narrows its path budget. Safe for
 // concurrent use; the returned slice is immutable.
 func (rt *RouteTable) PathIndicesFor(src, dst int) ([]int32, int) {
+	ent := rt.entry(src, dst)
+	return ent.idxs, int(ent.nca)
+}
+
+// entry is PathIndicesFor's cached pair entry, port masks included.
+func (rt *RouteTable) entry(src, dst int) *pathEntry {
 	key := int64(src)*int64(rt.n) + int64(dst)
 	rt.mu.RLock()
 	ent, ok := rt.paths[key]
 	rt.mu.RUnlock()
-	if !ok {
-		var idxs []int32
-		if rt.compiled != nil && rt.compiled.Repaired() == nil {
-			idxs = rt.compiled.PathIndices(src, dst)
-		} else {
-			ids := rt.routing.Paths(src, dst)
-			idxs = make([]int32, len(ids))
-			for i, id := range ids {
-				idxs[i] = int32(id)
-			}
-		}
-		ent = pathEntry{idxs: idxs, nca: int8(rt.routing.Topology().NCALevel(src, dst))}
-		rt.mu.Lock()
-		if prev, ok := rt.paths[key]; ok {
-			ent = prev
-		} else {
-			rt.paths[key] = ent
-		}
-		rt.mu.Unlock()
+	if ok {
+		return ent
 	}
-	return ent.idxs, int(ent.nca)
+	var idxs []int32
+	if rt.compiled != nil && rt.compiled.Repaired() == nil {
+		idxs = rt.compiled.PathIndices(src, dst)
+	} else {
+		idxs = pathIndices(rt.routing, src, dst)
+	}
+	t := rt.routing.Topology()
+	ent = newPathEntry(t, idxs, t.NCALevel(src, dst))
+	rt.mu.Lock()
+	if prev, ok := rt.paths[key]; ok {
+		ent = prev
+	} else {
+		rt.paths[key] = ent
+	}
+	rt.mu.Unlock()
+	return ent
 }

@@ -2,7 +2,6 @@ package flit
 
 import (
 	"fmt"
-	"math/bits"
 
 	"xgftsim/internal/topology"
 )
@@ -228,11 +227,10 @@ func (adaptiveSel) commit(e *engine, x topology.NodeID, _ *packet, c hopChoice) 
 
 // adaptiveKSel restricts the adaptive comparator to the packet's
 // surviving compiled paths. The packet's mask has bit i set while path
-// pidx[i] is still reachable; an upward hop at level l scatters the
-// set bits into per-port masks by each path's up-digit at l+1, ranks
-// only ports with a non-empty mask, and (on commit) narrows the mask
-// to the chosen port's paths. The scatter reuses an engine-owned
-// scratch array, so steady state allocates nothing.
+// paths.idxs[i] is still reachable; an upward hop at level l intersects
+// it with the pair's precomputed per-port masks at that level (see
+// pathEntry), ranks only ports with a non-empty intersection, and (on
+// commit) narrows the mask to the chosen port's paths.
 type adaptiveKSel struct{}
 
 func (adaptiveKSel) next(e *engine, x topology.NodeID, p *packet, _ int, vc int8) hopChoice {
@@ -241,27 +239,20 @@ func (adaptiveKSel) next(e *engine, x topology.NodeID, p *packet, _ int, vc int8
 	if l > 0 && dst/e.mLow[l] == int(e.subtreeIdx[x]) {
 		return e.forcedDown(x, dst, vc)
 	}
-	ups := e.w[l+1]
-	// Path index digits are mixed-radix over the up-choices with u_1
-	// most significant: the digit at level l+1 of a pair with NCA
-	// level k is idx / (WProd(k)/WProd(l+1)) % w_{l+1}.
-	div := e.wprod[p.nca] / e.wprod[l+1]
-	pm := e.portMask[:ups]
-	for i := range pm {
-		pm[i] = 0
-	}
-	for m := p.mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		pm[int(p.pidx[i])/div%ups] |= 1 << uint(i)
-	}
+	ports := p.paths.ports[l]
+	ups := len(ports)
 	start := int(e.adaptRR[x])
 	best, bestOcc := int32(-1), e.cfg.BufferPackets
 	var bestMask uint64
 	dead, live := int32(-1), false
 	for i := 0; i < ups; i++ {
-		pt := (start + i) % ups
-		if pm[pt] == 0 {
-			continue // no compiled path crosses this parent
+		pt := start + i
+		if pt >= ups {
+			pt -= ups
+		}
+		pm := ports[pt] & p.mask
+		if pm == 0 {
+			continue // no surviving compiled path crosses this parent
 		}
 		link := e.outLinks[x][pt]
 		if e.failed[link] {
@@ -272,7 +263,7 @@ func (adaptiveKSel) next(e *engine, x topology.NodeID, p *packet, _ int, vc int8
 		}
 		live = true
 		if o := e.occ[e.qid(link, vc)]; o < bestOcc {
-			best, bestOcc, bestMask = link, o, pm[pt]
+			best, bestOcc, bestMask = link, o, pm
 		}
 	}
 	if !live {
