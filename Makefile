@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-compare ci flit-golden cover repro repro-full clean
+.PHONY: all build vet test test-short bench bench-json bench-compare ci flit-golden flow-trace cover repro repro-full clean
 
 all: build vet test
 
@@ -92,8 +92,8 @@ endif
 # warm run must record cache hits, and the closed-form columns must
 # report derived rows — then vets and short-tests the benchmark module,
 # which tier-1 `go test ./...` does not reach, and ends with
-# flit-golden. Smoke output goes to a temporary directory that is
-# removed on exit.
+# flit-golden and flow-trace. Smoke output goes to a temporary directory
+# that is removed on exit.
 ci: vet
 	$(GO) test -short -race ./...
 	$(GO) test -race -run 'Repair|Wedge|Drain|Degraded|Failure|MultiKExperiment' ./internal/core ./internal/flit ./internal/flow ./internal/lid
@@ -119,6 +119,7 @@ ci: vet
 	echo ci: mega segment cache and table-free path ok
 	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test -short ./...
 	$(MAKE) flit-golden
+	$(MAKE) flow-trace
 
 # One full-scale round of the flit-paper benchmark workload at its
 # recorded seed (~12 s of simulation after the build). It exits non-zero
@@ -127,6 +128,15 @@ ci: vet
 # benchmark tests never reach.
 flit-golden:
 	bash benchmark/run.sh --workload flit-paper --seed 2012 --seconds 1
+
+# One traced round of the flow-paper benchmark workload at its recorded
+# seed (~7 s). It exits non-zero on any failed check, including
+# "traced fig4 table == untraced": the benchmark's hand-spelled replay
+# of Figure 4 over the layers' public functions must equal
+# experiments.Fig4Ks bit for bit, which the smoke-scale benchmark tests
+# do not check at the workload's scale.
+flow-trace:
+	bash benchmark/run.sh --workload flow-paper --seed 2012 --seconds 1 --trace 1
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -20

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,55 +23,69 @@ import (
 )
 
 func main() {
-	spec := flag.String("xgft", "", `topology as "h;m1,..,mh;w1,..,wh"`)
-	mport := flag.Int("mport", 0, "build an m-port n-tree (with -ntree)")
-	ntree := flag.Int("ntree", 0, "tree height for -mport")
-	scheme := flag.String("scheme", "disjoint", "routing scheme ("+strings.Join(core.SelectorNames(), ", ")+")")
-	k := flag.Int("k", 4, "paths per destination")
-	seed := flag.Int64("seed", 0, "seed for randomized schemes")
-	dump := flag.String("dump", "", "write the LFT dump to this file ('-' for stdout)")
-	verify := flag.Bool("verify", false, "walk every (src,dst,slot) and verify shortest-path delivery")
-	diversity := flag.Bool("diversity", false, "report average effective path diversity by NCA level")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// realMain runs the command and returns its exit status: 2 for a usage
+// error (a bad flag, topology or scheme), 1 for a failed run.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xgftlft", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec := fs.String("xgft", "", `topology as "h;m1,..,mh;w1,..,wh"`)
+	mport := fs.Int("mport", 0, "build an m-port n-tree (with -ntree)")
+	ntree := fs.Int("ntree", 0, "tree height for -mport")
+	scheme := fs.String("scheme", "disjoint", "routing scheme ("+strings.Join(core.SelectorNames(), ", ")+")")
+	k := fs.Int("k", 4, "paths per destination")
+	seed := fs.Int64("seed", 0, "seed for randomized schemes")
+	dump := fs.String("dump", "", "write the LFT dump to this file ('-' for stdout)")
+	verify := fs.Bool("verify", false, "walk every (src,dst,slot) and verify shortest-path delivery")
+	diversity := fs.Bool("diversity", false, "report average effective path diversity by NCA level")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "xgftlft:", err)
+		return code
+	}
 
 	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
 	sel, err := core.SelectorByName(*scheme)
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
 	plan, err := lid.NewPlan(t, *k)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	fabric, err := lid.BuildFabric(plan, sel, *seed)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	st := fabric.Stats()
-	fmt.Printf("%s, scheme %s, K=%d: LMC=%d, %d LIDs total (%.1f%% of space)\n",
+	fmt.Fprintf(stdout, "%s, scheme %s, K=%d: LMC=%d, %d LIDs total (%.1f%% of space)\n",
 		t, sel.Name(), plan.K, plan.LMC, plan.TotalLIDs,
 		100*float64(plan.TotalLIDs)/float64(lid.MaxUnicastLIDs))
-	fmt.Printf("forwarding tables: %d switches, %d entries each, %d total\n",
+	fmt.Fprintf(stdout, "forwarding tables: %d switches, %d entries each, %d total\n",
 		st.Switches, st.EntriesMax, st.EntriesTotal)
 
 	if *dump != "" {
-		out := os.Stdout
+		out := stdout
 		if *dump != "-" {
 			f, err := os.Create(*dump)
 			if err != nil {
-				fatal(err)
+				return fail(1, err)
 			}
 			defer f.Close()
 			out = f
 		}
 		if _, err := fabric.WriteTo(out); err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		if *dump != "-" {
-			fmt.Printf("wrote LFT dump to %s\n", *dump)
+			fmt.Fprintf(stdout, "wrote LFT dump to %s\n", *dump)
 		}
 	}
 	if *verify {
@@ -84,19 +99,19 @@ func main() {
 				for slot := 0; slot < plan.LIDsPerNode; slot++ {
 					path, err := fabric.Walk(src, dst, slot)
 					if err != nil {
-						fatal(fmt.Errorf("walk(%d,%d,%d): %w", src, dst, slot, err))
+						return fail(1, fmt.Errorf("walk(%d,%d,%d): %w", src, dst, slot, err))
 					}
 					if want := 2*t.NCALevel(src, dst) + 1; len(path) != want {
-						fatal(fmt.Errorf("walk(%d,%d,%d): %d nodes, want %d (non-shortest)", src, dst, slot, len(path), want))
+						return fail(1, fmt.Errorf("walk(%d,%d,%d): %d nodes, want %d (non-shortest)", src, dst, slot, len(path), want))
 					}
 					walks++
 				}
 			}
 		}
-		fmt.Printf("verified %d forwarding walks: all shortest, all delivered\n", walks)
+		fmt.Fprintf(stdout, "verified %d forwarding walks: all shortest, all delivered\n", walks)
 	}
 	if *diversity {
-		fmt.Println("effective path diversity under LFT truncation:")
+		fmt.Fprintln(stdout, "effective path diversity under LFT truncation:")
 		for lvl := 1; lvl <= t.H(); lvl++ {
 			var acc stats.Accumulator
 			n := t.NumProcessors()
@@ -108,7 +123,7 @@ func main() {
 				}
 			}
 			if acc.N() > 0 {
-				fmt.Printf("  NCA level %d: %.2f distinct paths/pair (of up to %d)\n",
+				fmt.Fprintf(stdout, "  NCA level %d: %.2f distinct paths/pair (of up to %d)\n",
 					lvl, acc.Mean(), min(plan.K, t.WProd(lvl)))
 			}
 		}
@@ -116,21 +131,10 @@ func main() {
 	// A quick look at how the top tier spreads destinations.
 	top := t.NodeAt(t.H(), 0)
 	hist := fabric.PortHistogram(top)
-	fmt.Printf("top switch %v port spread:", t.LabelOf(top))
+	fmt.Fprintf(stdout, "top switch %v port spread:", t.LabelOf(top))
 	for _, p := range lid.SortedPorts(hist) {
-		fmt.Printf(" %d:%d", p, hist[p])
+		fmt.Fprintf(stdout, " %d:%d", p, hist[p])
 	}
-	fmt.Println()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xgftlft:", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout)
+	return 0
 }

@@ -172,9 +172,8 @@ func KGrid(t *topology.Topology) []int {
 // effectiveKs clamps a requested K grid to a topology's maximum path
 // count and dedupes it: every K >= MaxPaths yields the same UMULTI
 // path sets, so such cells are measured once and replicated across the
-// requested rows (mirroring the flat single-path replication). eff is
-// the ascending unique effective grid; rowOf[i] indexes eff for
-// requested ks[i].
+// requested rows. eff is the ascending unique effective grid; rowOf[i]
+// indexes eff for requested ks[i].
 func effectiveKs(t *topology.Topology, ks []int) (eff []int, rowOf []int) {
 	max := t.MaxPaths()
 	clamp := func(k int) int {
@@ -203,6 +202,64 @@ func effectiveKs(t *topology.Topology, ks []int) (eff []int, rowOf []int) {
 		rowOf[i] = pos[clamp(k)]
 	}
 	return eff, rowOf
+}
+
+// schemeKs is the rule for which (scheme, K) cells of a scheme × K
+// table are distinct. The paper's heuristics are K-indexed families
+// running from d-mod-k at K = 1 to UMULTI at K >= MaxPaths (Theorem
+// 1): a single-path selector ignores K, so its grid is the one column
+// {1} and every requested row maps to it; any other selector gets the
+// requested grid clamped and deduped by effectiveKs. eff is the
+// ascending grid to measure; rowOf[i] indexes eff for requested ks[i].
+func schemeKs(t *topology.Topology, sel core.Selector, ks []int) (eff, rowOf []int) {
+	if !sel.MultiPath() {
+		return []int{1}, make([]int, len(ks))
+	}
+	return effectiveKs(t, ks)
+}
+
+// kGrid applies schemeKs to every column of a scheme × K table.
+type kGrid struct {
+	schemes    []core.Selector // the columns
+	ks         []int           // the requested rows
+	eff, rowOf [][]int         // per scheme, from schemeKs
+}
+
+func newKGrid(t *topology.Topology, schemes []core.Selector, ks []int) kGrid {
+	g := kGrid{schemes: schemes, ks: ks, eff: make([][]int, len(schemes)), rowOf: make([][]int, len(schemes))}
+	for j, sel := range schemes {
+		g.eff[j], g.rowOf[j] = schemeKs(t, sel, ks)
+	}
+	return g
+}
+
+// cells allocates one cell per distinct (scheme, K): cells[j][r] is
+// scheme j at K = eff[j][r].
+func (g kGrid) cells() [][]Cell {
+	cols := make([][]Cell, len(g.eff))
+	for j, eff := range g.eff {
+		cols[j] = make([]Cell, len(eff))
+	}
+	return cols
+}
+
+// table lays measured cells out with one column per scheme and one
+// row per requested K: row i reads cols[j][rowOf[j][i]], so rows that
+// share a distinct cell repeat it under their own K label.
+func (g kGrid) table(title, footnote string, cols [][]Cell) *Table {
+	tbl := &Table{Title: title, XLabel: "K", Columns: make([]string, len(g.schemes)), Footnote: footnote}
+	for j, s := range g.schemes {
+		tbl.Columns[j] = s.Name()
+	}
+	for i, k := range g.ks {
+		row := make([]Cell, len(g.schemes))
+		for j := range g.schemes {
+			row[j] = cols[j][g.rowOf[j][i]]
+		}
+		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%d", k))
+		tbl.Cells = append(tbl.Cells, row)
+	}
+	return tbl
 }
 
 // Cell is one measured value with its confidence half-width and

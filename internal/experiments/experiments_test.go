@@ -3,9 +3,12 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"xgftsim/internal/core"
 	"xgftsim/internal/stats"
 	"xgftsim/internal/topology"
 )
@@ -79,25 +82,62 @@ func TestEffectiveKs(t *testing.T) {
 	}
 }
 
-// TestFig4KsClampsConvergedKs checks the UMULTI dedupe: every
-// requested K at or above the topology's maximum path count must
-// reuse one measured cell, with all rows still rendered.
-func TestFig4KsClampsConvergedKs(t *testing.T) {
+func TestSchemeKs(t *testing.T) {
 	tp := topology.MustNew(2, []int{4, 8}, []int{1, 4}) // MaxPaths = 4
-	tbl := Fig4Ks(tp, []int{1, 2, 4, 8, 16}, tinyScale(), 1)
-	if len(tbl.Cells) != 5 {
-		t.Fatalf("rows %d, want 5", len(tbl.Cells))
+	ks := []int{16, 1, 2, 4, 8}
+	for _, c := range []struct {
+		sel        core.Selector
+		eff, rowOf []int
+	}{
+		// Single-path: one K = 1 column serves every requested row.
+		{core.DModK{}, []int{1}, []int{0, 0, 0, 0, 0}},
+		// Multipath: clamped at MaxPaths, deduped, ascending.
+		{core.Shift1{}, []int{1, 2, 4}, []int{2, 0, 1, 2, 2}},
+		{core.Disjoint{}, []int{1, 2, 4}, []int{2, 0, 1, 2, 2}},
+		{core.RandomK{}, []int{1, 2, 4}, []int{2, 0, 1, 2, 2}},
+	} {
+		eff, rowOf := schemeKs(tp, c.sel, ks)
+		if !slices.Equal(eff, c.eff) || !slices.Equal(rowOf, c.rowOf) {
+			t.Errorf("%s: schemeKs = %v, %v; want %v, %v", c.sel.Name(), eff, rowOf, c.eff, c.rowOf)
+		}
 	}
-	if tbl.XValues[3] != "8" || tbl.XValues[4] != "16" {
-		t.Fatalf("requested K labels must survive clamping: %v", tbl.XValues)
-	}
-	for j := range tbl.Columns {
-		for _, i := range []int{3, 4} {
-			if tbl.Cells[i][j] != tbl.Cells[2][j] {
-				t.Errorf("column %s: K=%s cell %+v differs from the K=4 (UMULTI) cell %+v",
-					tbl.Columns[j], tbl.XValues[i], tbl.Cells[i][j], tbl.Cells[2][j])
+}
+
+// TestSchemeKRowsShareCells checks the scheme × K grid rule on every
+// builder that applies it: requested K labels survive, d-mod-k's cell
+// is the same on every row, and every row with K >= MaxPaths (UMULTI)
+// repeats the MaxPaths row.
+func TestSchemeKRowsShareCells(t *testing.T) {
+	for _, g := range goldenTables() {
+		tbl, maxK := g.tbl, g.topo.MaxPaths()
+		name := g.name + " " + g.topo.String()
+		if len(tbl.XValues) != len(g.ks) {
+			t.Fatalf("%s: rows %v, want the requested %v", name, tbl.XValues, g.ks)
+		}
+		for i, k := range g.ks {
+			if tbl.XValues[i] != strconv.Itoa(k) {
+				t.Fatalf("%s: rows %v, want the requested %v", name, tbl.XValues, g.ks)
 			}
 		}
+		maxRow := slices.Index(g.ks, maxK)
+		for j, col := range tbl.Columns {
+			for i, k := range g.ks {
+				x := tbl.XValues[i]
+				if col == "d-mod-k" && tbl.Cells[i][j] != tbl.Cells[0][j] {
+					t.Errorf("%s: d-mod-k at K=%s %+v differs from K=1 %+v", name, x, tbl.Cells[i][j], tbl.Cells[0][j])
+				}
+				if k >= maxK && tbl.Cells[i][j] != tbl.Cells[maxRow][j] {
+					t.Errorf("%s: %s at K=%s %+v differs from the K=%d (UMULTI) cell %+v",
+						name, col, x, tbl.Cells[i][j], maxK, tbl.Cells[maxRow][j])
+				}
+			}
+		}
+	}
+}
+
+func TestFig4FootnotePrecision(t *testing.T) {
+	if got, want := fig4Footnote(PaperScale()), "99% confidence, 1.5% precision target"; !strings.Contains(got, want) {
+		t.Errorf("paper-scale footnote %q does not state %q", got, want)
 	}
 }
 

@@ -66,91 +66,49 @@ func AdaptiveComparison(sc Scale) *Table {
 // optimized fat-tree routing (the paper's reference for d-mod-k's
 // strength): the worst per-phase maximum link load over all n-1 shift
 // permutations. d-mod-k is provably optimal on shifts; the study
-// verifies the heuristics preserve that as K grows. Like Fig4Ks, the
-// K grid is clamped/deduped per topology and each multipath scheme
-// walks every shift once through a flow.MultiKEvaluator serving all
-// effective K columns; single-path schemes are measured once and
-// replicated.
+// verifies the heuristics preserve that as K grows. Each scheme walks
+// every shift once through a flow.MultiKEvaluator serving all of its
+// distinct K columns (schemeKs), and rows replicate the columns they
+// share.
 func AllToAllShift(t *topology.Topology, ks []int) *Table {
 	schemes := fig4Schemes()
-	tbl := &Table{
-		Title:   fmt.Sprintf("Extension: worst max link load over all shift permutations, %s", t),
-		XLabel:  "K",
-		Columns: make([]string, len(schemes)),
-	}
-	for j, s := range schemes {
-		tbl.Columns[j] = s.Name()
-	}
+	g := newKGrid(t, schemes, ks)
 	n := t.NumProcessors()
-	eff, rowOf := effectiveKs(t, ks)
-	worst := make([][]float64, len(schemes)) // [col][effective-K index]
+	cols := g.cells()
 	for j, sel := range schemes {
-		worst[j] = make([]float64, len(eff))
-		if !sel.MultiPath() {
-			ev := flow.NewEvaluator(core.NewRouting(t, sel, 1, 1))
-			w := 0.0
-			for s := 1; s < n; s++ {
-				tm := traffic.FromPermutation(traffic.ShiftPermutation(n, s))
-				if load := ev.MaxLoad(tm); load > w {
-					w = load
-				}
-			}
-			for r := range eff {
-				worst[j][r] = w
-			}
-			continue
-		}
+		eff := g.eff[j]
 		ev := flow.NewMultiKEvaluator(core.NewRouting(t, sel, eff[len(eff)-1], 1), eff)
 		out := make([]float64, len(eff))
 		for s := 1; s < n; s++ {
-			tm := traffic.FromPermutation(traffic.ShiftPermutation(n, s))
-			ev.MaxLoads(tm, nil, out)
+			ev.MaxLoads(traffic.FromPermutation(traffic.ShiftPermutation(n, s)), nil, out)
 			for r, load := range out {
-				if load > worst[j][r] {
-					worst[j][r] = load
-				}
+				cols[j][r].Mean = max(cols[j][r].Mean, load)
 			}
 		}
-	}
-	for i, k := range ks {
-		row := make([]Cell, len(schemes))
-		for j := range schemes {
-			row[j] = Cell{Mean: worst[j][rowOf[i]], Samples: n - 1}
+		for r := range eff {
+			cols[j][r].Samples = n - 1
 		}
-		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%d", k))
-		tbl.Cells = append(tbl.Cells, row)
 	}
-	tbl.Footnote = "d-mod-k achieves the optimal load 1 on every shift; multi-path heuristics must not regress it"
-	return tbl
+	return g.table(fmt.Sprintf("Extension: worst max link load over all shift permutations, %s", t),
+		"d-mod-k achieves the optimal load 1 on every shift; multi-path heuristics must not regress it", cols)
 }
 
 // WorstCaseSearch runs the adversarial permutation search of
-// internal/adversary for each scheme and K on a moderate tree,
-// lower-bounding the oblivious performance ratios that Figure 4's
-// averages do not expose.
+// internal/adversary once per distinct (scheme, K) cell of schemeKs on
+// a moderate tree, lower-bounding the oblivious performance ratios that
+// Figure 4's averages do not expose. The search is seeded, so a cell
+// shared by several rows (d-mod-k's, or K >= MaxPaths) is the value
+// each row would have found on its own.
 func WorstCaseSearch(t *topology.Topology, ks []int, searchCfg adversary.Config) *Table {
 	schemes := fig4Schemes()
-	tbl := &Table{
-		Title:   fmt.Sprintf("Extension: worst-case permutation performance ratio (annealing search), %s", t),
-		XLabel:  "K",
-		Columns: make([]string, len(schemes)),
-	}
-	for j, s := range schemes {
-		tbl.Columns[j] = s.Name()
-	}
-	for _, k := range ks {
-		row := make([]Cell, len(schemes))
-		for j, sel := range schemes {
-			kEff := k
-			if !sel.MultiPath() {
-				kEff = 1
-			}
-			res := adversary.WorstPermutation(core.NewRouting(t, sel, kEff, 1), searchCfg)
-			row[j] = Cell{Mean: res.Ratio, Samples: res.Evaluations}
+	g := newKGrid(t, schemes, ks)
+	cols := g.cells()
+	for j, sel := range schemes {
+		for r, k := range g.eff[j] {
+			res := adversary.WorstPermutation(core.NewRouting(t, sel, k, 1), searchCfg)
+			cols[j][r] = Cell{Mean: res.Ratio, Samples: res.Evaluations}
 		}
-		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%d", k))
-		tbl.Cells = append(tbl.Cells, row)
 	}
-	tbl.Footnote = "lower bounds on the oblivious ratio; UMULTI's exact value is 1 (Theorem 1)"
-	return tbl
+	return g.table(fmt.Sprintf("Extension: worst-case permutation performance ratio (annealing search), %s", t),
+		"lower bounds on the oblivious ratio; UMULTI's exact value is 1 (Theorem 1)", cols)
 }

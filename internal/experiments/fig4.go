@@ -16,89 +16,39 @@ func Fig4(t *topology.Topology, sc Scale, permSeed int64) *Table {
 }
 
 // Fig4Ks is Fig4 over an explicit K grid (used by the benchmarks to
-// bound runtime on the largest topologies). Each multipath scheme is
-// one multi-K cell: a single flow.MultiKExperiment evaluates every K
-// of the effective grid in one permutation stream over one Kmax
-// routing (compiled once when the policy allows), with the vector
-// adaptive sampler freezing each K's accumulator independently.
-// Per-sample parallelism inside each cell (Sampling.Parallelism, which
-// defaults to GOMAXPROCS) keeps worker occupancy up even though the
-// cell count shrank to one per scheme; the cells still fan out across
-// at most sc.Workers slots via runCells with deterministic result
-// placement. Single-path baselines ignore K, so they are measured once
-// and replicated across rows, and requested K values at or above the
-// topology's maximum path count — all equivalent to UMULTI — collapse
-// to one measured column replicated the same way (see effectiveKs).
+// bound runtime on the largest topologies). Each scheme is one cell: a
+// flow.MultiKExperiment over the scheme's distinct K columns (schemeKs
+// — {1} for d-mod-k, the grid clamped to MaxPaths for the multipath
+// schemes) evaluates them all in one permutation stream over one
+// routing, with the vector adaptive sampler freezing each column
+// independently; rows then replicate the columns they share. The
+// cells fan out across at most sc.Workers slots via runCells, and each
+// cell parallelizes its samples (Sampling.Parallelism).
 func Fig4Ks(t *topology.Topology, ks []int, sc Scale, permSeed int64) *Table {
 	schemes := fig4Schemes()
-	tbl := &Table{
-		Title:   fmt.Sprintf("Figure 4: average maximum link load vs paths, %s (permutation traffic)", t),
-		XLabel:  "K",
-		Columns: make([]string, len(schemes)),
-	}
-	for j, s := range schemes {
-		tbl.Columns[j] = s.Name()
-	}
-	eff, rowOf := effectiveKs(t, ks)
-	flat := make([]Cell, len(schemes))
-	multi := make([][]Cell, len(schemes)) // [col][effective-K index]
+	g := newKGrid(t, schemes, ks)
+	cols := g.cells()
 	runCells(sc.Ctx, len(schemes), sc.Workers, func(j int) {
-		sel := schemes[j]
-		if !sel.MultiPath() {
-			res := flow.Experiment{
-				Topo:     t,
-				Sel:      sel,
-				K:        1,
-				PermSeed: permSeed,
-				Sampling: sc.Sampling,
-			}.Run()
-			flat[j] = Cell{Mean: res.Acc.Mean(), HalfWidth: res.HalfWidth, Samples: res.Acc.N()}
-			return
-		}
 		vec := flow.MultiKExperiment{
 			Topo:     t,
-			Sel:      sel,
-			Ks:       eff,
+			Sel:      schemes[j],
+			Ks:       g.eff[j],
 			PermSeed: permSeed,
 			Sampling: sc.Sampling,
 		}.Run()
-		col := make([]Cell, len(eff))
-		for r := range eff {
-			col[r] = Cell{Mean: vec.Accs[r].Mean(), HalfWidth: vec.HalfWidths[r], Samples: vec.Accs[r].N()}
+		for r := range cols[j] {
+			cols[j][r] = Cell{Mean: vec.Accs[r].Mean(), HalfWidth: vec.HalfWidths[r], Samples: vec.Accs[r].N()}
 		}
-		multi[j] = col
 	})
-	for i, k := range ks {
-		row := make([]Cell, len(schemes))
-		for j, sel := range schemes {
-			if sel.MultiPath() {
-				row[j] = multi[j][rowOf[i]]
-			} else {
-				row[j] = flat[j]
-			}
-		}
-		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%d", k))
-		tbl.Cells = append(tbl.Cells, row)
-	}
-	tbl.Footnote = fmt.Sprintf("adaptive sampling: %.0f%% confidence, %.0f%% precision target",
-		confidencePct(sc), precisionPct(sc))
-	return tbl
+	return g.table(fmt.Sprintf("Figure 4: average maximum link load vs paths, %s (permutation traffic)", t),
+		fig4Footnote(sc), cols)
 }
 
-func confidencePct(sc Scale) float64 {
-	c := sc.Sampling.Confidence
-	if c == 0 {
-		c = 0.99
-	}
-	return c * 100
-}
-
-func precisionPct(sc Scale) float64 {
-	p := sc.Sampling.RelPrecision
-	if p == 0 {
-		p = 0.01
-	}
-	return p * 100
+// fig4Footnote states the sampling targets the cells were run to.
+func fig4Footnote(sc Scale) string {
+	cfg := sc.Sampling.WithDefaults()
+	return fmt.Sprintf("adaptive sampling: %g%% confidence, %g%% precision target",
+		cfg.Confidence*100, cfg.RelPrecision*100)
 }
 
 // Fig4Panel maps the paper's panel letters to their topologies.

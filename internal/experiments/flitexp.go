@@ -57,66 +57,28 @@ func maxThroughput(t *topology.Topology, sel core.Selector, k int, sc Scale) Cel
 
 // Table1 reproduces the paper's Table 1: maximum aggregate throughput
 // (fraction of capacity) on XGFT(3;4,4,8;1,4,4) for K in {1,2,4,8}
-// under each scheme. For d-mod-k the K column is informational only:
-// its single cell is measured once and replicated across rows. Cells
-// run under the bounded parallel scheduler (sc.Workers slots) with
-// deterministic placement.
+// under each scheme. Every distinct (scheme, K) cell of schemeKs is
+// one job — d-mod-k's single K = 1 cell fills all four rows — and the
+// jobs run under the bounded parallel scheduler (sc.Workers slots)
+// with deterministic placement.
 func Table1(sc Scale) *Table {
 	t := table1Topology()
 	schemes := []core.Selector{core.DModK{}, core.Shift1{}, core.RandomK{}, core.Disjoint{}}
-	ks := []int{1, 2, 4, 8}
-	tbl := &Table{
-		Title:   fmt.Sprintf("Table 1: maximum throughput (fraction of capacity), %s, uniform assignment", t),
-		XLabel:  "K",
-		Columns: make([]string, len(schemes)),
-	}
-	for j, s := range schemes {
-		tbl.Columns[j] = s.Name()
-	}
-	type job struct{ row, col int } // row < 0: K-independent single-path cell
+	g := newKGrid(t, schemes, []int{1, 2, 4, 8})
+	type job struct{ col, r int }
 	var jobs []job
-	for j, sel := range schemes {
-		if !sel.MultiPath() {
-			jobs = append(jobs, job{-1, j})
+	for j, eff := range g.eff {
+		for r := range eff {
+			jobs = append(jobs, job{j, r})
 		}
 	}
-	for i := range ks {
-		for j, sel := range schemes {
-			if sel.MultiPath() {
-				jobs = append(jobs, job{i, j})
-			}
-		}
-	}
-	flat := make([]Cell, len(schemes))
-	isFlat := make([]bool, len(schemes))
-	cells := make([][]Cell, len(ks))
-	for i := range cells {
-		cells[i] = make([]Cell, len(schemes))
-	}
+	cols := g.cells()
 	runCells(sc.Ctx, len(jobs), sc.Workers, func(x int) {
 		jb := jobs[x]
-		k := 1
-		if jb.row >= 0 {
-			k = ks[jb.row]
-		}
-		c := maxThroughput(t, schemes[jb.col], k, sc)
-		if jb.row < 0 {
-			flat[jb.col], isFlat[jb.col] = c, true
-		} else {
-			cells[jb.row][jb.col] = c
-		}
+		cols[jb.col][jb.r] = maxThroughput(t, schemes[jb.col], g.eff[jb.col][jb.r], sc)
 	})
-	for i, k := range ks {
-		for j := range schemes {
-			if isFlat[j] {
-				cells[i][j] = flat[j]
-			}
-		}
-		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%d", k))
-		tbl.Cells = append(tbl.Cells, cells[i])
-	}
-	tbl.Footnote = fmt.Sprintf("%d workload seed(s); packet=8 flits, message=4 packets, buffers=4 packets", sc.FlitSeeds)
-	return tbl
+	return g.table(fmt.Sprintf("Table 1: maximum throughput (fraction of capacity), %s, uniform assignment", t),
+		fmt.Sprintf("%d workload seed(s); packet=8 flits, message=4 packets, buffers=4 packets", sc.FlitSeeds), cols)
 }
 
 // fig5Series lists the paper's Figure 5 curves: scheme and K.
