@@ -57,6 +57,10 @@ bench-json:
 # BENCH_*.json against the *.prev.json rotated by bench-json), failing
 # on any >10% ns/op regression. Override the records or the threshold:
 #   make bench-compare OLD=a.json NEW=b.json BENCH_THRESHOLD=0.05
+# A before/after counts only when both records ran interleaved in one
+# session on one host: records taken at different times differ by the
+# host's state (load, CPU steal, frequency) as much as by the code, and
+# the diff then reports the host.
 BENCH_THRESHOLD ?= 0.10
 bench-compare:
 ifdef OLD
@@ -71,7 +75,8 @@ else
 	done
 endif
 
-# What a CI gate should run: static checks, the race-instrumented
+# What a CI gate should run: static checks (vet, and gofmt -l listing
+# nothing), the race-instrumented
 # short test suite (includes the shared compiled-table race test),
 # targeted race coverage of the repair and watchdog paths and of
 # MultiKExperiment's evaluator pool shared across seeds, the
@@ -95,6 +100,7 @@ endif
 # flit-golden and flow-trace. Smoke output goes to a temporary directory
 # that is removed on exit.
 ci: vet
+	@test -z "$$(gofmt -l .)" || { echo "ci: gofmt -l lists unformatted files:"; gofmt -l .; exit 1; }
 	$(GO) test -short -race ./...
 	$(GO) test -race -run 'Repair|Wedge|Drain|Degraded|Failure|MultiKExperiment' ./internal/core ./internal/flit ./internal/flow ./internal/lid
 	$(GO) test -race -count=1 ./internal/serve/...

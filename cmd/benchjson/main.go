@@ -31,12 +31,12 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	BytesPerOp *int64             `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *int64            `json:"allocs_per_op,omitempty"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Name        string             `json:"name"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  *int64             `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64             `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {

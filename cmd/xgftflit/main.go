@@ -14,13 +14,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
 
 	"xgftsim/internal/cliutil"
 	"xgftsim/internal/core"
@@ -34,6 +32,9 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// realMain runs the command and returns its exit status: 2 for a usage
+// error (a bad flag, topology or scheme), 1 for a failed run, 130 for
+// an interrupted one.
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xgftflit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -64,97 +65,39 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var man *cliutil.Manifest
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(stderr, "xgftflit:", err)
-			return 1
-		}
-		man = cliutil.NewManifest("xgftflit")
-		man.Flags = cliutil.FlagValues(fs)
-		man.Seed = *seed
-	}
-	// seal writes the manifest exactly once, whether the run finishes,
-	// fails, or is interrupted by a signal racing the normal exit path.
-	var sealOnce sync.Once
-	seal := func(status *int, err error) {
-		sealOnce.Do(func() {
-			if man != nil {
-				man.Finish(*status, err)
-				if werr := man.WriteFile(*out); werr != nil {
-					fmt.Fprintln(stderr, "xgftflit:", werr)
-					if *status == 0 {
-						*status = 1
-					}
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "xgftflit:", err)
-			}
-		})
-	}
-	finish := func(status int, err error) int {
-		if perr := prof.Stop(); perr != nil && err == nil {
-			status, err = 1, perr
-		}
-		seal(&status, err)
-		return status
+	t, sel, err := cliutil.TopologyAndScheme(*spec, *mport, *ntree, *scheme)
+	if err != nil {
+		fmt.Fprintln(stderr, "xgftflit:", err)
+		return 2
 	}
 
-	// A simulation run has no cell boundaries to cancel at, so the first
-	// SIGINT/SIGTERM seals the manifest with exit_status "interrupted"
-	// and exits 130; a second signal (after stop() restores the default
-	// disposition) kills the process outright.
-	ctx, stop := cliutil.WithInterrupt(context.Background())
+	run := cliutil.NewRun("xgftflit", fs, *out, prof, stderr)
+	run.Manifest.Seed = *seed
+	if err := run.Start(); err != nil {
+		return run.Finish(1, err)
+	}
+	stop := run.WatchInterrupt()
 	defer stop()
-	workDone := make(chan struct{})
-	defer close(workDone)
-	go func() {
-		select {
-		case <-workDone:
-		case <-ctx.Done():
-			select {
-			case <-workDone:
-				return
-			default:
-			}
-			status := 130
-			seal(&status, cliutil.ErrInterrupted)
-			os.Exit(status)
-		}
-	}()
 
-	if err := prof.Start(); err != nil {
-		return finish(1, err)
-	}
-
-	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
-	if err != nil {
-		return finish(1, err)
-	}
-	sel, err := core.SelectorByName(*scheme)
-	if err != nil {
-		return finish(1, err)
-	}
 	pattern, err := buildPattern(t, *workload, *arg, *seed)
 	if err != nil {
-		return finish(1, err)
+		return run.Finish(1, err)
 	}
 	pp := flit.RoundRobin
 	if *policy == "random" {
 		pp = flit.RandomPath
 	} else if *policy != "round-robin" {
-		return finish(1, fmt.Errorf("unknown path policy %q", *policy))
+		return run.Finish(1, fmt.Errorf("unknown path policy %q", *policy))
 	}
 	var outSel flit.OutputSelector
 	if *selector != "" {
 		if outSel, err = flit.ParseOutputSelector(*selector); err != nil {
-			return finish(1, err)
+			return run.Finish(1, err)
 		}
 	}
 	vcSch, err := flit.ParseVCScheme(*vcScheme)
 	if err != nil {
-		return finish(1, err)
+		return run.Finish(1, err)
 	}
 	base := flit.Config{
 		Routing:           core.NewRouting(t, sel, *k, *seed),
@@ -180,28 +123,26 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if !*sweep {
 		res, err := flit.Run(base)
 		if err != nil {
-			return finish(1, err)
+			return run.Finish(1, err)
 		}
 		fmt.Fprintf(stdout, "offered %.3f: accepted %.4f, delay %.1f cycles (p95 %.0f), %d/%d messages, saturated=%v\n",
 			res.OfferedLoad, res.Throughput, res.AvgDelay, res.P95Delay,
 			res.MsgsCompleted, res.MsgsGenerated, res.Saturated)
-		if man != nil {
-			man.Results = map[string]any{
-				"offered_load":   res.OfferedLoad,
-				"throughput":     res.Throughput,
-				"avg_delay":      res.AvgDelay,
-				"p95_delay":      res.P95Delay,
-				"msgs_completed": res.MsgsCompleted,
-				"msgs_generated": res.MsgsGenerated,
-				"vc_stalls":      res.VCStalls,
-				"saturated":      res.Saturated,
-			}
+		run.Manifest.Results = map[string]any{
+			"offered_load":   res.OfferedLoad,
+			"throughput":     res.Throughput,
+			"avg_delay":      res.AvgDelay,
+			"p95_delay":      res.P95Delay,
+			"msgs_completed": res.MsgsCompleted,
+			"msgs_generated": res.MsgsGenerated,
+			"vc_stalls":      res.VCStalls,
+			"saturated":      res.Saturated,
 		}
-		return finish(0, nil)
+		return run.Finish(0, nil)
 	}
 	results, err := flit.Sweep(flit.SweepConfig{Base: base})
 	if err != nil {
-		return finish(1, err)
+		return run.Finish(1, err)
 	}
 	fmt.Fprintf(stdout, "%8s %10s %12s %10s %10s\n", "load", "accepted", "delay(cyc)", "p95", "saturated")
 	for _, r := range results {
@@ -210,14 +151,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "max throughput %.4f, saturation at load %.2f\n",
 		flit.MaxThroughput(results), flit.SaturationLoad(results))
-	if man != nil {
-		man.Results = map[string]any{
-			"sweep_points":    len(results),
-			"max_throughput":  flit.MaxThroughput(results),
-			"saturation_load": flit.SaturationLoad(results),
-		}
+	run.Manifest.Results = map[string]any{
+		"sweep_points":    len(results),
+		"max_throughput":  flit.MaxThroughput(results),
+		"saturation_load": flit.SaturationLoad(results),
 	}
-	return finish(0, nil)
+	return run.Finish(0, nil)
 }
 
 func buildPattern(t *topology.Topology, workload string, arg int, seed int64) (traffic.Pattern, error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,6 +33,31 @@ func TestTinyRun(t *testing.T) {
 func TestUnknownFlag(t *testing.T) {
 	if code, _, errOut := run("-no-such-flag"); code != 2 {
 		t.Fatalf("exit %d, want 2 (stderr %q)", code, errOut)
+	}
+}
+
+// TestRealMainExitCodes: usage errors (a bad flag, topology or scheme)
+// exit 2 before any work or manifest.
+func TestRealMainExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"no topology", nil},
+		{"bad -xgft", []string{"-xgft", "2;4,x;1,4"}},
+		{"bad -mport", []string{"-mport", "7", "-ntree", "2"}},
+		{"unknown -scheme", []string{"-xgft", "2;4,4;1,4", "-scheme", "nope"}},
+		{"unknown flag", []string{"-xgft", "2;4,4;1,4", "-bogus"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if code, _, errOut := run(append(tc.args, "-out", dir)...); code != 2 {
+				t.Fatalf("exit %d, want 2\nstderr: %s", code, errOut)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
+				t.Fatalf("usage error wrote a manifest (stat: %v)", err)
+			}
+		})
 	}
 }
 

@@ -14,13 +14,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
 
 	"xgftsim/internal/cliutil"
 	"xgftsim/internal/core"
@@ -33,6 +31,9 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// realMain runs the command and returns its exit status: 2 for a usage
+// error (a bad flag, topology or scheme), 1 for a failed run, 130 for
+// an interrupted one.
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xgftflow", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -54,79 +55,21 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var man *cliutil.Manifest
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(stderr, "xgftflow:", err)
-			return 1
-		}
-		man = cliutil.NewManifest("xgftflow")
-		man.Flags = cliutil.FlagValues(fs)
-		man.Seed = *seed
-		man.TableBudget = *budget
-	}
-	// seal writes the manifest exactly once, whether the run finishes,
-	// fails, or is interrupted by a signal racing the normal exit path.
-	var sealOnce sync.Once
-	seal := func(status *int, err error) {
-		sealOnce.Do(func() {
-			if man != nil {
-				man.Finish(*status, err)
-				if werr := man.WriteFile(*out); werr != nil {
-					fmt.Fprintln(stderr, "xgftflow:", werr)
-					if *status == 0 {
-						*status = 1
-					}
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "xgftflow:", err)
-			}
-		})
-	}
-	finish := func(status int, err error) int {
-		if perr := prof.Stop(); perr != nil && err == nil {
-			status, err = 1, perr
-		}
-		seal(&status, err)
-		return status
+	t, sel, err := cliutil.TopologyAndScheme(*spec, *mport, *ntree, *scheme)
+	if err != nil {
+		fmt.Fprintln(stderr, "xgftflow:", err)
+		return 2
 	}
 
-	// A single evaluation has no cell boundaries to cancel at, so the
-	// first SIGINT/SIGTERM seals the manifest with exit_status
-	// "interrupted" and exits 130; a second signal (after stop()
-	// restores the default disposition) kills the process outright.
-	ctx, stop := cliutil.WithInterrupt(context.Background())
+	run := cliutil.NewRun("xgftflow", fs, *out, prof, stderr)
+	run.Manifest.Seed = *seed
+	run.Manifest.TableBudget = *budget
+	if err := run.Start(); err != nil {
+		return run.Finish(1, err)
+	}
+	stop := run.WatchInterrupt()
 	defer stop()
-	workDone := make(chan struct{})
-	defer close(workDone)
-	go func() {
-		select {
-		case <-workDone:
-		case <-ctx.Done():
-			select {
-			case <-workDone:
-				return
-			default:
-			}
-			status := 130
-			seal(&status, cliutil.ErrInterrupted)
-			os.Exit(status)
-		}
-	}()
 
-	if err := prof.Start(); err != nil {
-		return finish(1, err)
-	}
-
-	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
-	if err != nil {
-		return finish(1, err)
-	}
-	sel, err := core.SelectorByName(*scheme)
-	if err != nil {
-		return finish(1, err)
-	}
 	fmt.Fprintf(stdout, "%s, routing %s\n", t, core.NewRouting(t, sel, *k, *seed))
 
 	if *pattern == "permutations" {
@@ -139,20 +82,18 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}.Run()
 		fmt.Fprintf(stdout, "average max link load over %d permutations: %.4f ± %.4f (99%% CI, converged=%v)\n",
 			res.Acc.N(), res.Acc.Mean(), res.HalfWidth, res.Converged)
-		if man != nil {
-			man.Results = map[string]any{
-				"samples":      res.Acc.N(),
-				"avg_max_load": res.Acc.Mean(),
-				"half_width":   res.HalfWidth,
-				"converged":    res.Converged,
-			}
+		run.Manifest.Results = map[string]any{
+			"samples":      res.Acc.N(),
+			"avg_max_load": res.Acc.Mean(),
+			"half_width":   res.HalfWidth,
+			"converged":    res.Converged,
 		}
-		return finish(0, nil)
+		return run.Finish(0, nil)
 	}
 
 	tm, err := traffic.BuildMatrix(t, *pattern, *arg, *seed)
 	if err != nil {
-		return finish(1, err)
+		return run.Finish(1, err)
 	}
 	r := core.NewRouting(t, sel, *k, *seed)
 	ev := flow.NewEvaluator(r)
@@ -163,12 +104,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	for tier, pair := range ev.TierLoads() {
 		fmt.Fprintf(stdout, "  tier %d-%d max load: up %.3f, down %.3f\n", tier, tier+1, pair[0], pair[1])
 	}
-	if man != nil {
-		man.Results = map[string]any{
-			"mload": mload,
-			"oload": oload,
-			"perf":  mload / oload,
-		}
+	run.Manifest.Results = map[string]any{
+		"mload": mload,
+		"oload": oload,
+		"perf":  mload / oload,
 	}
-	return finish(0, nil)
+	return run.Finish(0, nil)
 }

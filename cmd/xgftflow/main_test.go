@@ -11,22 +11,31 @@ import (
 	"xgftsim/internal/obs"
 )
 
+// TestRealMainExitCodes: usage errors (a bad flag, topology or scheme)
+// exit 2 before any work or manifest.
 func TestRealMainExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
 		want int
 	}{
-		{"no topology", nil, 1},
+		{"no topology", nil, 2},
+		{"bad -xgft", []string{"-xgft", "2;4,x;1,4"}, 2},
+		{"bad -mport", []string{"-mport", "7", "-ntree", "2"}, 2},
+		{"unknown -scheme", []string{"-mport", "8", "-ntree", "2", "-scheme", "nope"}, 2},
 		{"unknown flag", []string{"-mport", "8", "-ntree", "2", "-bogus"}, 2},
 		{"removed -compile", []string{"-mport", "8", "-ntree", "2", "-compile", "block"}, 2},
 		{"removed -table-cache", []string{"-mport", "8", "-ntree", "2", "-table-cache", t.TempDir()}, 2},
 		{"removed -segment-bytes", []string{"-mport", "8", "-ntree", "2", "-segment-bytes", "4096"}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
 			var out, errw bytes.Buffer
-			if code := realMain(tc.args, &out, &errw); code != tc.want {
+			if code := realMain(append(tc.args, "-out", dir), &out, &errw); code != tc.want {
 				t.Fatalf("exit %d, want %d\nstderr: %s", code, tc.want, errw.String())
+			}
+			if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
+				t.Fatalf("usage error wrote a manifest (stat: %v)", err)
 			}
 		})
 	}

@@ -48,11 +48,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
-	if err != nil {
-		return fail(2, err)
-	}
-	sel, err := core.SelectorByName(*scheme)
+	t, sel, err := cliutil.TopologyAndScheme(*spec, *mport, *ntree, *scheme)
 	if err != nil {
 		return fail(2, err)
 	}

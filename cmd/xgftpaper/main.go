@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -38,18 +39,58 @@ import (
 	"xgftsim/internal/topology"
 )
 
-var order = []string{
-	"fig4a", "fig4b", "fig4c", "fig4d",
-	"table1", "fig5", "failures",
-	"thm1", "thm2",
-	"tier", "lid", "diversity", "workload",
-	"adaptive", "alltoall", "worstcase", "model", "crossover", "buffers", "vcs",
-	"adaptivek", "churnsoak", "servebench", "mega",
+// experiment is one row of the registry: the -exp name, the alias
+// that also selects it (empty for none), and the run that builds its
+// table. The run carries the experiment's fixed inputs.
+type experiment struct {
+	name, alias string
+	run         runFunc
 }
 
-// aliases expand shorthand experiment names; members must be in order.
-var aliases = map[string][]string{
-	"fig4": {"fig4a", "fig4b", "fig4c", "fig4d"},
+// runFunc builds a table from the sampling scale, the base seed and
+// the routing-table policy.
+type runFunc func(sc experiments.Scale, seed int64, topt experiments.TableOptions) (*experiments.Table, error)
+
+// registry lists every experiment in the order -exp all runs them.
+var registry = []experiment{
+	{name: "fig4a", alias: "fig4", run: fig4Panel("a")},
+	{name: "fig4b", alias: "fig4", run: fig4Panel("b")},
+	{name: "fig4c", alias: "fig4", run: fig4Panel("c")},
+	{name: "fig4d", alias: "fig4", run: fig4Panel("d")},
+	{name: "table1", run: scaled(experiments.Table1)},
+	{name: "fig5", run: scaled(experiments.Fig5)},
+	{name: "failures", run: seeded(experiments.Failures)},
+	{name: "thm1", run: seeded(experiments.Theorem1)},
+	{name: "thm2", run: fixed(experiments.Theorem2)},
+	{name: "tier", run: seeded(func(sc experiments.Scale, seed int64) *experiments.Table {
+		return experiments.TierBalance(sc, 4, seed)
+	})},
+	{name: "lid", run: fixed(experiments.LIDBudget)},
+	{name: "diversity", run: fixed(func() *experiments.Table { return experiments.EffectiveDiversity(4) })},
+	{name: "workload", run: scaled(experiments.WorkloadSensitivity)},
+	{name: "adaptive", run: scaled(experiments.AdaptiveComparison)},
+	{name: "alltoall", run: onPaper(topology.Paper8Port3Tree, func(t *topology.Topology, _ experiments.Scale, _ int64) *experiments.Table {
+		return experiments.AllToAllShift(t, []int{1, 2, 4, 8, 16})
+	})},
+	{name: "worstcase", run: onPaper(topology.Paper8Port2Tree, func(t *topology.Topology, sc experiments.Scale, seed int64) *experiments.Table {
+		steps := 1500
+		if sc.Name == "full" || sc.Name == "paper" {
+			steps = 4000
+		}
+		return experiments.WorstCaseSearch(t, []int{1, 2, 4}, adversary.Config{Steps: steps, Restarts: 3, Seed: seed})
+	})},
+	{name: "model", run: scaled(experiments.ModelValidation)},
+	{name: "crossover", run: scaled(experiments.DelayCrossover)},
+	{name: "buffers", run: scaled(experiments.BufferDepth)},
+	{name: "vcs", run: scaled(experiments.VirtualChannelDepth)},
+	{name: "adaptivek", run: scaled(experiments.AdaptiveK)},
+	{name: "churnsoak", run: func(sc experiments.Scale, seed int64, _ experiments.TableOptions) (*experiments.Table, error) {
+		return churn.Soak(sc, seed)
+	}},
+	{name: "servebench", run: func(sc experiments.Scale, seed int64, _ experiments.TableOptions) (*experiments.Table, error) {
+		return loadgen.ServeBench(sc, seed)
+	}},
+	{name: "mega", run: experiments.Mega},
 }
 
 func main() {
@@ -59,11 +100,11 @@ func main() {
 // realMain is main with injectable arguments and streams, so the flag
 // validation, experiment selection and manifest behavior are testable
 // in-process. It returns the process exit status: 0 on success, 1 on a
-// runtime failure, 2 on a usage error.
+// runtime failure, 2 on a usage error, 130 when interrupted.
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xgftpaper", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "comma-separated experiments: "+strings.Join(order, ",")+", fig4 (=fig4a-d) or all")
+	exp := fs.String("exp", "all", "comma-separated experiments: "+expHelp())
 	scaleName := fs.String("scale", "quick", "sampling scale: "+experiments.ScaleHelp())
 	out := fs.String("out", "", "directory for CSV output and manifest.json (created if missing)")
 	seed := fs.Int64("seed", 2012, "base seed for sampled workloads")
@@ -94,159 +135,123 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		scale.FlitSeeds = *flitSeeds
 	}
 	scale.Workers = *workers
-
-	// The first SIGINT/SIGTERM cancels the sweep between cells: the run
-	// unwinds, seals the manifest with exit_status "interrupted" and
-	// exits 130. stop() restores the default disposition once the
-	// context fires, so a second signal kills the process immediately.
-	ctx, stop := cliutil.WithInterrupt(context.Background())
-	defer stop()
-	scale.Ctx = ctx
 	selected, err := selectExperiments(*exp)
 	if err != nil {
 		return usage(err)
 	}
 
-	if err := prof.Start(); err != nil {
-		fmt.Fprintln(stderr, "xgftpaper:", err)
-		return 1
-	}
-	defer prof.Stop()
+	// The first SIGINT/SIGTERM cancels the sweep between cells: the run
+	// unwinds, seals the manifest with exit_status "interrupted" and
+	// exits 130. A second signal kills the process immediately.
+	ctx, stop := cliutil.WithInterrupt(context.Background())
+	defer stop()
+	scale.Ctx = ctx
 
-	var man *cliutil.Manifest
-	var runnerLog *os.File
+	run := cliutil.NewRun("xgftpaper", fs, *out, prof, stderr)
+	man := run.Manifest
+	man.Scale = scale.Name
+	man.Seed = *seed
+	man.Workers = scale.Workers
+	tf.Stamp(man)
+	if err := run.Start(); err != nil {
+		return run.Finish(1, err)
+	}
+	var runnerLog io.Writer = io.Discard
 	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(stderr, "xgftpaper:", err)
-			return 1
-		}
 		f, err := os.OpenFile(filepath.Join(*out, "runner.log"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
-			fmt.Fprintln(stderr, "xgftpaper:", err)
-			return 1
+			return run.Finish(1, err)
 		}
 		defer f.Close()
 		runnerLog = f
-		man = cliutil.NewManifest("xgftpaper")
-		man.Flags = cliutil.FlagValues(fs)
-		man.Scale = scale.Name
-		man.Seed = *seed
-		man.Workers = scale.Workers
-		tf.Stamp(man)
-	}
-	// finish seals and writes the manifest on every exit path, so even a
-	// crashed sweep leaves a record of what ran and what failed.
-	finish := func(status int, err error) int {
-		if man != nil {
-			man.Finish(status, err)
-			if werr := man.WriteFile(*out); werr != nil {
-				fmt.Fprintln(stderr, "xgftpaper:", werr)
-				if status == 0 {
-					status = 1
-				}
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "xgftpaper:", err)
-		}
-		return status
 	}
 
 	reg := obs.Default()
-	for _, name := range selected {
+	for _, e := range selected {
 		if ctx.Err() != nil {
-			return finish(130, fmt.Errorf("%w before experiment %s", cliutil.ErrInterrupted, name))
+			return run.Finish(130, fmt.Errorf("%w before experiment %s", cliutil.ErrInterrupted, e.name))
 		}
 		before := reg.Snapshot()
 		start := time.Now()
-		tbl, perr := runCaptured(name, scale, *seed, tf.Options())
-		elapsed := time.Since(start).Seconds()
-		if errors.Is(perr, experiments.ErrInterrupted) {
-			if man != nil {
-				man.Experiments = append(man.Experiments, cliutil.ExperimentRecord{
-					Name: name, WallSeconds: elapsed, Metrics: reg.Delta(before),
-				})
-			}
-			return finish(130, fmt.Errorf("%w during experiment %s", cliutil.ErrInterrupted, name))
-		}
+		tbl, perr := runCaptured(e, scale, *seed, tf.Options())
+		rec := cliutil.ExperimentRecord{Name: e.name, WallSeconds: time.Since(start).Seconds()}
 		if perr != nil {
-			if runnerLog != nil {
-				fmt.Fprintf(runnerLog, "%s exp=%s scale=%s seed=%d PANIC: %v\n",
-					time.Now().Format(time.RFC3339), name, scale.Name, *seed, perr)
-			}
-			if man != nil {
-				man.Experiments = append(man.Experiments, cliutil.ExperimentRecord{
-					Name: name, WallSeconds: elapsed, Metrics: reg.Delta(before),
-				})
-			}
-			return finish(1, perr)
-		}
-		tbl.Render(stdout)
-		fmt.Fprintf(stdout, "  [%s, scale=%s, %.1fs]\n\n", name, scale.Name, elapsed)
-		if runnerLog != nil {
-			fmt.Fprintf(runnerLog, "%s exp=%s scale=%s workers=%d seed=%d wall=%.1fs\n",
-				time.Now().Format(time.RFC3339), name, scale.Name, scale.Workers, *seed, elapsed)
-		}
-		rec := cliutil.ExperimentRecord{Name: name, WallSeconds: elapsed}
-		if *out != "" {
-			path := filepath.Join(*out, name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				return finish(1, err)
-			}
-			if err := tbl.WriteCSV(f); err != nil {
-				f.Close()
-				return finish(1, err)
-			}
-			if err := f.Close(); err != nil {
-				return finish(1, err)
-			}
-			fmt.Fprintf(stdout, "  wrote %s\n\n", path)
-			rec.CSV = name + ".csv"
-		}
-		if man != nil {
 			rec.Metrics = reg.Delta(before)
 			man.Experiments = append(man.Experiments, rec)
+			if errors.Is(perr, experiments.ErrInterrupted) {
+				return run.Finish(130, fmt.Errorf("%w during experiment %s", cliutil.ErrInterrupted, e.name))
+			}
+			fmt.Fprintf(runnerLog, "%s exp=%s scale=%s seed=%d PANIC: %v\n",
+				time.Now().Format(time.RFC3339), e.name, scale.Name, *seed, perr)
+			return run.Finish(1, perr)
 		}
+		tbl.Render(stdout)
+		fmt.Fprintf(stdout, "  [%s, scale=%s, %.1fs]\n\n", e.name, scale.Name, rec.WallSeconds)
+		fmt.Fprintf(runnerLog, "%s exp=%s scale=%s workers=%d seed=%d wall=%.1fs\n",
+			time.Now().Format(time.RFC3339), e.name, scale.Name, scale.Workers, *seed, rec.WallSeconds)
+		if *out != "" {
+			var csv bytes.Buffer
+			tbl.WriteCSV(&csv) // writes to a bytes.Buffer cannot fail
+			path := filepath.Join(*out, e.name+".csv")
+			if err := os.WriteFile(path, csv.Bytes(), 0o666); err != nil {
+				return run.Finish(1, err)
+			}
+			fmt.Fprintf(stdout, "  wrote %s\n\n", path)
+			rec.CSV = e.name + ".csv"
+		}
+		rec.Metrics = reg.Delta(before)
+		man.Experiments = append(man.Experiments, rec)
 	}
-	if err := prof.Stop(); err != nil {
-		return finish(1, err)
-	}
-	return finish(0, nil)
+	return run.Finish(0, nil)
 }
 
-// selectExperiments parses the -exp list: "all" selects everything,
-// aliases expand (fig4 = the four panels), and duplicates — whether
-// re-listed literally or introduced by an alias — are dropped while
-// preserving first-occurrence order, so no experiment runs (and
-// overwrites its CSVs) twice in one invocation.
-func selectExperiments(exp string) ([]string, error) {
-	if strings.TrimSpace(exp) == "all" {
-		return order, nil
-	}
-	var selected []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			selected = append(selected, name)
+// expHelp names every registry row, each alias with its members, and
+// all.
+func expHelp() string {
+	var names, aliases []string
+	members := map[string][]string{}
+	for _, e := range registry {
+		names = append(names, e.name)
+		if e.alias != "" {
+			if members[e.alias] == nil {
+				aliases = append(aliases, e.alias)
+			}
+			members[e.alias] = append(members[e.alias], e.name)
 		}
 	}
+	for _, a := range aliases {
+		names = append(names, a+" (="+strings.Join(members[a], ",")+")")
+	}
+	return strings.Join(names, ",") + " or all"
+}
+
+// selectExperiments parses the -exp list: "all" selects every registry
+// row, an alias selects its rows (fig4 = the four panels), and
+// duplicates — whether re-listed literally or introduced by an alias —
+// are dropped while preserving first-occurrence order, so no
+// experiment runs (and overwrites its CSVs) twice in one invocation.
+func selectExperiments(exp string) ([]experiment, error) {
+	if strings.TrimSpace(exp) == "all" {
+		return registry, nil
+	}
+	var selected []experiment
+	seen := make(map[string]bool)
 	for _, name := range strings.Split(exp, ",") {
 		name = strings.TrimSpace(name)
-		if expansion, ok := aliases[name]; ok {
-			for _, n := range expansion {
-				add(n)
+		found := false
+		for _, e := range registry {
+			if name != e.name && (e.alias == "" || name != e.alias) {
+				continue
 			}
-			continue
+			found = true
+			if !seen[e.name] {
+				seen[e.name] = true
+				selected = append(selected, e)
+			}
 		}
-		if !contains(order, name) {
-			return nil, fmt.Errorf("unknown experiment %q (want %s, fig4 or all)", name, strings.Join(order, ","))
+		if !found {
+			return nil, fmt.Errorf("unknown experiment %q (want %s)", name, expHelp())
 		}
-		add(name)
-	}
-	if len(selected) == 0 {
-		return nil, fmt.Errorf("empty -exp selection")
 	}
 	return selected, nil
 }
@@ -254,88 +259,56 @@ func selectExperiments(exp string) ([]string, error) {
 // runCaptured converts a panicking experiment into an error carrying
 // the failing cell's coordinates and stack, so a crashed sweep leaves
 // a diagnosable trail in runner.log instead of a bare crash.
-func runCaptured(name string, scale experiments.Scale, seed int64, topt experiments.TableOptions) (tbl *experiments.Table, err error) {
+func runCaptured(e experiment, scale experiments.Scale, seed int64, topt experiments.TableOptions) (tbl *experiments.Table, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if cp, ok := p.(*experiments.CellPanic); ok {
-				err = fmt.Errorf("experiment %s: %w", name, cp)
+				err = fmt.Errorf("experiment %s: %w", e.name, cp)
 			} else {
-				err = fmt.Errorf("experiment %s panicked: %v\n%s", name, p, debug.Stack())
+				err = fmt.Errorf("experiment %s panicked: %v\n%s", e.name, p, debug.Stack())
 			}
 		}
 	}()
-	return run(name, scale, seed, topt)
+	return e.run(scale, seed, topt)
 }
 
-func run(name string, scale experiments.Scale, seed int64, topt experiments.TableOptions) (*experiments.Table, error) {
-	switch name {
-	case "fig4a", "fig4b", "fig4c", "fig4d":
-		t, err := experiments.Fig4Panel(name[len(name)-1:])
+// The adapters below fit the builders' signatures to a registry run.
+
+// fig4Panel runs one Figure 4 panel.
+func fig4Panel(panel string) runFunc {
+	return func(sc experiments.Scale, seed int64, _ experiments.TableOptions) (*experiments.Table, error) {
+		t, err := experiments.Fig4Panel(panel)
 		if err != nil {
 			return nil, err
 		}
-		return experiments.Fig4(t, scale, seed), nil
-	case "table1":
-		return experiments.Table1(scale), nil
-	case "fig5":
-		return experiments.Fig5(scale), nil
-	case "failures":
-		return experiments.Failures(scale, seed), nil
-	case "thm1":
-		return experiments.Theorem1(scale, seed), nil
-	case "thm2":
-		return experiments.Theorem2(), nil
-	case "tier":
-		return experiments.TierBalance(scale, 4, seed), nil
-	case "lid":
-		return experiments.LIDBudget(), nil
-	case "diversity":
-		return experiments.EffectiveDiversity(4), nil
-	case "workload":
-		return experiments.WorkloadSensitivity(scale), nil
-	case "adaptive":
-		return experiments.AdaptiveComparison(scale), nil
-	case "model":
-		return experiments.ModelValidation(scale), nil
-	case "crossover":
-		return experiments.DelayCrossover(scale), nil
-	case "buffers":
-		return experiments.BufferDepth(scale), nil
-	case "vcs":
-		return experiments.VirtualChannelDepth(scale), nil
-	case "adaptivek":
-		return experiments.AdaptiveK(scale), nil
-	case "churnsoak":
-		return churn.Soak(scale, seed)
-	case "servebench":
-		return loadgen.ServeBench(scale, seed)
-	case "mega":
-		return experiments.Mega(scale, seed, topt)
-	case "alltoall":
-		t, err := topology.FromPaper(topology.Paper8Port3Tree)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.AllToAllShift(t, []int{1, 2, 4, 8, 16}), nil
-	case "worstcase":
-		t, err := topology.FromPaper(topology.Paper8Port2Tree)
-		if err != nil {
-			return nil, err
-		}
-		steps := 1500
-		if scale.Name == "full" || scale.Name == "paper" {
-			steps = 4000
-		}
-		return experiments.WorstCaseSearch(t, []int{1, 2, 4}, adversary.Config{Steps: steps, Restarts: 3, Seed: seed}), nil
+		return experiments.Fig4(t, sc, seed), nil
 	}
-	return nil, fmt.Errorf("unknown experiment %q", name)
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+// onPaper runs build on one of the paper's fabrics.
+func onPaper(name topology.PaperTopology, build func(*topology.Topology, experiments.Scale, int64) *experiments.Table) runFunc {
+	return func(sc experiments.Scale, seed int64, _ experiments.TableOptions) (*experiments.Table, error) {
+		t, err := topology.FromPaper(name)
+		if err != nil {
+			return nil, err
 		}
+		return build(t, sc, seed), nil
 	}
-	return false
+}
+
+// seeded runs a builder that reads the scale and the base seed.
+func seeded(build func(experiments.Scale, int64) *experiments.Table) runFunc {
+	return func(sc experiments.Scale, seed int64, _ experiments.TableOptions) (*experiments.Table, error) {
+		return build(sc, seed), nil
+	}
+}
+
+// scaled runs a builder that reads only the scale.
+func scaled(build func(experiments.Scale) *experiments.Table) runFunc {
+	return seeded(func(sc experiments.Scale, _ int64) *experiments.Table { return build(sc) })
+}
+
+// fixed runs a builder with no sampled input.
+func fixed(build func() *experiments.Table) runFunc {
+	return seeded(func(experiments.Scale, int64) *experiments.Table { return build() })
 }

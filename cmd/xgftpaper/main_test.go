@@ -13,15 +13,32 @@ import (
 	"xgftsim/internal/experiments"
 )
 
+// registryNames lists the registry's experiment names in run order.
+func registryNames(rows []experiment) []string {
+	var names []string
+	for _, e := range rows {
+		names = append(names, e.name)
+	}
+	return names
+}
+
 func TestSelectExperiments(t *testing.T) {
 	cases := []struct {
 		exp     string
 		want    []string
 		wantErr string
 	}{
-		{exp: "all", want: order},
+		{exp: "all", want: []string{
+			"fig4a", "fig4b", "fig4c", "fig4d",
+			"table1", "fig5", "failures",
+			"thm1", "thm2",
+			"tier", "lid", "diversity", "workload",
+			"adaptive", "alltoall", "worstcase", "model", "crossover", "buffers", "vcs",
+			"adaptivek", "churnsoak", "servebench", "mega",
+		}},
 		{exp: "thm2", want: []string{"thm2"}},
 		{exp: "fig4a, table1", want: []string{"fig4a", "table1"}},
+		{exp: "fig4,table1", want: []string{"fig4a", "fig4b", "fig4c", "fig4d", "table1"}},
 		// Duplicates — literal or alias-introduced — run once, in
 		// first-occurrence order, so CSVs are not overwritten mid-run.
 		{exp: "fig4a,fig4a", want: []string{"fig4a"}},
@@ -31,6 +48,7 @@ func TestSelectExperiments(t *testing.T) {
 		{exp: "fig4b,fig4", want: []string{"fig4b", "fig4a", "fig4c", "fig4d"}},
 		{exp: "nope", wantErr: "unknown experiment"},
 		{exp: "", wantErr: "unknown experiment"},
+		{exp: "fig4a,", wantErr: "unknown experiment"},
 	}
 	for _, c := range cases {
 		got, err := selectExperiments(c.exp)
@@ -44,7 +62,7 @@ func TestSelectExperiments(t *testing.T) {
 			t.Errorf("selectExperiments(%q): %v", c.exp, err)
 			continue
 		}
-		if !reflect.DeepEqual(got, c.want) {
+		if got := registryNames(got); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("selectExperiments(%q) = %v, want %v", c.exp, got, c.want)
 		}
 	}

@@ -13,23 +13,18 @@ import (
 // failureSchemes is the scheme × K grid of the failure sweep: the
 // single-path baseline, each limited multi-path scheme at two budgets,
 // and unlimited multi-path as the graceful-degradation reference.
-func failureSchemes() []struct {
+var failureSchemes = []struct {
 	sel core.Selector
 	k   int
-} {
-	return []struct {
-		sel core.Selector
-		k   int
-	}{
-		{core.DModK{}, 1},
-		{core.Shift1{}, 2},
-		{core.Shift1{}, 4},
-		{core.Disjoint{}, 2},
-		{core.Disjoint{}, 4},
-		{core.RandomK{}, 2},
-		{core.RandomK{}, 4},
-		{core.UMulti{}, 1},
-	}
+}{
+	{core.DModK{}, 1},
+	{core.Shift1{}, 2},
+	{core.Shift1{}, 4},
+	{core.Disjoint{}, 2},
+	{core.Disjoint{}, 4},
+	{core.RandomK{}, 2},
+	{core.RandomK{}, 4},
+	{core.UMulti{}, 1},
 }
 
 // faultSeeds derives the sweep's fault-placement seeds from the base
@@ -57,93 +52,30 @@ func faultFractions(sc Scale) []float64 {
 // b topologies: average maximum link load of random permutations
 // versus the fraction of failed cables, per scheme × K, with each
 // routing repaired against every sampled fault placement. Confidence
-// intervals are over the fault placements. The final column reports
-// the fraction of SD pairs left with no surviving shortest path —
-// traffic the repair reports as undeliverable rather than routing over
-// dead links.
+// intervals are over the fault placements. Each panel's rows are one
+// FailureSweep; the final column reports the fraction of SD pairs left
+// with no surviving shortest path — traffic the repair reports as
+// undeliverable rather than routing over dead links.
 func Failures(sc Scale, seed int64) *Table {
-	type panel struct {
-		label string
-		topo  *topology.Topology
+	fracs, fseeds := faultFractions(sc), faultSeeds(sc, seed)
+	tbl := &Table{
+		Title:  "Failure sweep: average maximum link load vs failed cable fraction (permutation traffic, repaired routing)",
+		XLabel: "panel frac",
 	}
-	var panels []panel
 	for _, p := range []string{"a", "b"} {
 		t, err := Fig4Panel(p)
 		if err != nil {
 			panic(err)
 		}
-		panels = append(panels, panel{p, t})
-	}
-	schemes := failureSchemes()
-	fracs := faultFractions(sc)
-	fseeds := faultSeeds(sc, seed)
-
-	tbl := &Table{
-		Title:  "Failure sweep: average maximum link load vs failed cable fraction (permutation traffic, repaired routing)",
-		XLabel: "panel frac",
-	}
-	for _, s := range schemes {
-		name := s.sel.Name()
-		if s.sel.MultiPath() {
-			name = fmt.Sprintf("%s K=%d", name, s.k)
-		}
-		tbl.Columns = append(tbl.Columns, name)
-	}
-	tbl.Columns = append(tbl.Columns, "disconn")
-
-	nRows := len(panels) * len(fracs)
-	nCols := len(tbl.Columns)
-	cells := make([][]Cell, nRows)
-	for i := range cells {
-		cells[i] = make([]Cell, nCols)
-	}
-	type job struct{ pi, fi, col int }
-	var jobs []job
-	for pi := range panels {
+		sweep := FailureSweep(t, sc, seed)
+		disconn := make([]Cell, len(fracs))
+		runCells(sc.Ctx, len(fracs), sc.Workers, func(fi int) {
+			disconn[fi] = disconnectedCell(t, fracs[fi], fseeds)
+		})
+		tbl.Columns = append(sweep.Columns, "disconn")
 		for fi := range fracs {
-			for col := 0; col < nCols; col++ {
-				jobs = append(jobs, job{pi, fi, col})
-			}
-		}
-	}
-	// One failure base per (panel, scheme) column: the healthy compile
-	// and its delta repairer are fault-independent, so every fraction's
-	// cell patches against the same base instead of recompiling. Built
-	// lazily under sync.Once so the first cell of a column pays for it
-	// whichever worker gets there first.
-	bases := make([][]*flow.FailureBase, len(panels))
-	onces := make([][]sync.Once, len(panels))
-	for pi := range panels {
-		bases[pi] = make([]*flow.FailureBase, len(schemes))
-		onces[pi] = make([]sync.Once, len(schemes))
-	}
-	runCells(sc.Ctx, len(jobs), sc.Workers, func(x int) {
-		jb := jobs[x]
-		row := jb.pi*len(fracs) + jb.fi
-		t, frac := panels[jb.pi].topo, fracs[jb.fi]
-		if jb.col == len(schemes) {
-			cells[row][jb.col] = disconnectedCell(t, frac, fseeds)
-			return
-		}
-		s := schemes[jb.col]
-		x0 := flow.FailureExperiment{
-			Topo:       t,
-			Sel:        s.sel,
-			K:          s.k,
-			Fraction:   frac,
-			FaultSeeds: fseeds,
-			PermSeed:   seed,
-			Sampling:   sc.Sampling,
-		}
-		onces[jb.pi][jb.col].Do(func() { bases[jb.pi][jb.col] = x0.NewBase() })
-		x0.Base = bases[jb.pi][jb.col]
-		res := x0.Run()
-		cells[row][jb.col] = Cell{Mean: res.Acc.Mean(), HalfWidth: res.HalfWidth, Samples: res.Acc.N()}
-	})
-	for pi, p := range panels {
-		for fi, frac := range fracs {
-			tbl.XValues = append(tbl.XValues, fmt.Sprintf("%s %g%%", p.label, frac*100))
-			tbl.Cells = append(tbl.Cells, cells[pi*len(fracs)+fi])
+			tbl.XValues = append(tbl.XValues, p+" "+sweep.XValues[fi])
+			tbl.Cells = append(tbl.Cells, append(sweep.Cells[fi], disconn[fi]))
 		}
 	}
 	tbl.Footnote = fmt.Sprintf("99%% CI over %d fault placements per fraction; disconn = fraction of SD pairs with no surviving shortest path",
@@ -151,10 +83,10 @@ func Failures(sc Scale, seed int64) *Table {
 	return tbl
 }
 
-// FailureSweep is the single-topology failure sweep used by the
-// benchmarks: same cells as one panel of Failures.
+// FailureSweep is the single-topology failure sweep: one panel of
+// Failures, and the failure phase of the benchmarks.
 func FailureSweep(t *topology.Topology, sc Scale, seed int64) *Table {
-	schemes := failureSchemes()
+	schemes := failureSchemes
 	fracs := faultFractions(sc)
 	fseeds := faultSeeds(sc, seed)
 	tbl := &Table{
@@ -172,7 +104,11 @@ func FailureSweep(t *topology.Topology, sc Scale, seed int64) *Table {
 	for i := range cells {
 		cells[i] = make([]Cell, len(schemes))
 	}
-	// As in Failures: one shared base per scheme column.
+	// One failure base per scheme column: the healthy compile and its
+	// delta repairer are fault-independent, so every fraction's cell
+	// patches against the same base instead of recompiling. Built
+	// lazily under sync.Once so the first cell of a column pays for it
+	// whichever worker gets there first.
 	bases := make([]*flow.FailureBase, len(schemes))
 	onces := make([]sync.Once, len(schemes))
 	runCells(sc.Ctx, len(fracs)*len(schemes), sc.Workers, func(x int) {

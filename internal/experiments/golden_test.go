@@ -32,8 +32,8 @@ func goldenScale() Scale {
 // K rows ks.
 type goldenTable struct {
 	name string
-	topo *topology.Topology
-	ks   []int
+	topo *topology.Topology // nil for Failures, which runs Fig 4 panels a and b
+	ks   []int              // nil for the failure sweeps, whose rows are fault fractions
 	tbl  *Table
 }
 
@@ -58,16 +58,37 @@ var goldenTables = sync.OnceValue(func() []goldenTable {
 	return append(out, goldenTable{"table1", table1Topology(), []int{1, 2, 4, 8}, Table1(sc)})
 })
 
+// failureGoldenTables builds FailureSweep on a small fabric and
+// Failures (on its fixed Fig 4 panels) at two fault fractions.
+var failureGoldenTables = sync.OnceValue(func() []goldenTable {
+	sc := goldenScale()
+	sc.FaultSeeds = 2
+	sc.FaultFractions = []float64{0, 0.05}
+	tp := topology.MustNew(2, []int{4, 8}, []int{1, 4})
+	return []goldenTable{
+		{name: "failuresweep", topo: tp, tbl: FailureSweep(tp, sc, 7)},
+		{name: "failures", tbl: Failures(sc, 7)},
+	}
+})
+
 // goldenLines renders every cell as the bits of its mean and
-// half-width plus its sample count.
+// half-width plus its sample count. K-grid rows are labelled K=<k>,
+// failure-sweep rows by their fault fraction.
 func goldenLines(tables []goldenTable) []string {
 	var lines []string
 	for _, g := range tables {
+		fabric := "fig4a,fig4b"
+		if g.topo != nil {
+			fabric = strings.ReplaceAll(g.topo.String(), " ", "")
+		}
 		for i, x := range g.tbl.XValues {
+			if g.ks != nil {
+				x = "K=" + x
+			}
 			for j, col := range g.tbl.Columns {
 				c := g.tbl.Cells[i][j]
-				lines = append(lines, fmt.Sprintf("%s %s K=%s %s %016x %016x %d",
-					g.name, strings.ReplaceAll(g.topo.String(), " ", ""), x, col,
+				lines = append(lines, fmt.Sprintf("%s %s %s %s %016x %016x %d",
+					g.name, fabric, strings.ReplaceAll(x, " ", ""), col,
 					math.Float64bits(c.Mean), math.Float64bits(c.HalfWidth), c.Samples))
 			}
 		}
@@ -76,12 +97,13 @@ func goldenLines(tables []goldenTable) []string {
 }
 
 // TestBuildersGolden pins every cell of Fig4Ks, AllToAllShift,
-// WorstCaseSearch and Table1 on small fabrics to the values recorded
-// in testdata/builders_golden.txt, bit for bit, so a refactor of how
-// the builders schedule their (scheme, K) cells cannot move a number.
-// Run with -update to re-record after an intended change of a result.
+// WorstCaseSearch, Table1, FailureSweep and Failures on small fabrics
+// to the values recorded in testdata/builders_golden.txt, bit for bit,
+// so a refactor of how the builders schedule their cells cannot move a
+// number. Run with -update to re-record after an intended change of a
+// result.
 func TestBuildersGolden(t *testing.T) {
-	got := goldenLines(goldenTables())
+	got := goldenLines(append(goldenTables(), failureGoldenTables()...))
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(buildersGoldenPath), 0o755); err != nil {
 			t.Fatal(err)

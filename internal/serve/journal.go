@@ -34,7 +34,9 @@ type Event struct {
 
 // key collapses an event to its failure unit, so fail and heal of the
 // same unit cancel in the fault bookkeeping.
-func (e Event) key() eventKey { return eventKey{Kind: e.Kind, Node: e.Node, Port: e.Port, Link: e.Link} }
+func (e Event) key() eventKey {
+	return eventKey{Kind: e.Kind, Node: e.Node, Port: e.Port, Link: e.Link}
+}
 
 type eventKey struct {
 	Kind       string
