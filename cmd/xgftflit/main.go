@@ -65,7 +65,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	t, sel, err := cliutil.TopologyAndScheme(*spec, *mport, *ntree, *scheme)
+	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
+	if err != nil {
+		fmt.Fprintln(stderr, "xgftflit:", err)
+		return 2
+	}
+	sel, err := core.SelectorByName(*scheme)
 	if err != nil {
 		fmt.Fprintln(stderr, "xgftflit:", err)
 		return 2

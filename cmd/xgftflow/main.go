@@ -55,7 +55,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	t, sel, err := cliutil.TopologyAndScheme(*spec, *mport, *ntree, *scheme)
+	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
+	if err != nil {
+		fmt.Fprintln(stderr, "xgftflow:", err)
+		return 2
+	}
+	sel, err := core.SelectorByName(*scheme)
 	if err != nil {
 		fmt.Fprintln(stderr, "xgftflow:", err)
 		return 2
@@ -70,7 +75,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	stop := run.WatchInterrupt()
 	defer stop()
 
-	fmt.Fprintf(stdout, "%s, routing %s\n", t, core.NewRouting(t, sel, *k, *seed))
+	r := core.NewRouting(t, sel, *k, *seed)
+	fmt.Fprintf(stdout, "%s, routing %s\n", t, r)
 
 	if *pattern == "permutations" {
 		res := flow.Experiment{
@@ -95,7 +101,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return run.Finish(1, err)
 	}
-	r := core.NewRouting(t, sel, *k, *seed)
 	ev := flow.NewEvaluator(r)
 	mload := ev.MaxLoad(tm)
 	oload := flow.OptimalLoad(t, tm)

@@ -48,7 +48,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	t, sel, err := cliutil.TopologyAndScheme(*spec, *mport, *ntree, *scheme)
+	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
+	if err != nil {
+		return fail(2, err)
+	}
+	sel, err := core.SelectorByName(*scheme)
 	if err != nil {
 		return fail(2, err)
 	}

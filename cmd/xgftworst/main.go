@@ -49,7 +49,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "xgftworst:", err)
 		return 2
 	}
-	t, sel, err := cliutil.TopologyAndScheme(*spec, *mport, *ntree, *scheme)
+	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
+	if err != nil {
+		return usage(err)
+	}
+	sel, err := core.SelectorByName(*scheme)
 	if err != nil {
 		return usage(err)
 	}

@@ -1,6 +1,6 @@
 // Package cliutil holds the small shared helpers of the command-line
-// tools: parsing topology specifications and routing schemes, the
-// profiling and routing-table flags, and the batch tools' run record.
+// tools: parsing topology specifications, the profiling and
+// routing-table flags, and the batch tools' run record.
 package cliutil
 
 import (
@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"xgftsim/internal/core"
 	"xgftsim/internal/topology"
 )
 
@@ -22,17 +21,6 @@ func BuildTopology(spec string, mport, ntree int) (*topology.Topology, error) {
 		return topology.MPortNTree(mport, ntree)
 	}
 	return nil, fmt.Errorf("give -xgft \"h;m1,..;w1,..\" or -mport/-ntree")
-}
-
-// TopologyAndScheme resolves the -xgft / -mport / -ntree topology and
-// the -scheme selector; an error is a usage error.
-func TopologyAndScheme(spec string, mport, ntree int, scheme string) (*topology.Topology, core.Selector, error) {
-	t, err := BuildTopology(spec, mport, ntree)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, err := core.SelectorByName(scheme)
-	return t, sel, err
 }
 
 // ParseXGFT parses the paper notation "h;m1,..,mh;w1,..,wh" into a

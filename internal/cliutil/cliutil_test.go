@@ -47,15 +47,3 @@ func TestBuildTopology(t *testing.T) {
 		t.Error("odd m-port accepted")
 	}
 }
-
-func TestTopologyAndScheme(t *testing.T) {
-	tp, sel, err := TopologyAndScheme("2;4,8;1,4", 0, 0, "shift-1")
-	if err != nil || tp.NumProcessors() != 32 || sel.Name() != "shift-1" {
-		t.Fatalf("got %v %v %v", tp, sel, err)
-	}
-	for _, bad := range [][2]string{{"", "disjoint"}, {"2;4,8;1,4", "nope"}} {
-		if _, _, err := TopologyAndScheme(bad[0], 0, 0, bad[1]); err == nil {
-			t.Errorf("TopologyAndScheme(%q, %q) accepted", bad[0], bad[1])
-		}
-	}
-}

@@ -86,20 +86,9 @@ func (r *Run) Finish(status int, err error) int {
 // watch and restores the default signal disposition.
 func (r *Run) WatchInterrupt() (stop func()) {
 	ctx, stopSignals := WithInterrupt(context.Background())
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			select {
-			case <-done:
-			default:
-				r.exit(r.Finish(130, ErrInterrupted))
-			}
-		}
-	}()
+	stopWatch := context.AfterFunc(ctx, func() { r.exit(r.Finish(130, ErrInterrupted)) })
 	return func() {
-		close(done)
+		stopWatch()
 		stopSignals()
 	}
 }

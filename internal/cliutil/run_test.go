@@ -145,7 +145,14 @@ func TestRunInterruptSeals(t *testing.T) {
 // without creating a directory or a manifest.
 func TestRunWithoutOutWritesNoManifest(t *testing.T) {
 	dir := t.TempDir()
-	t.Chdir(dir)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
 	r, _ := newTestRun(t, "")
 	if got := r.Finish(0, nil); got != 0 {
 		t.Fatalf("Finish(0) = %d", got)

@@ -52,68 +52,83 @@ func faultFractions(sc Scale) []float64 {
 // b topologies: average maximum link load of random permutations
 // versus the fraction of failed cables, per scheme × K, with each
 // routing repaired against every sampled fault placement. Confidence
-// intervals are over the fault placements. Each panel's rows are one
-// FailureSweep; the final column reports the fraction of SD pairs left
-// with no surviving shortest path — traffic the repair reports as
-// undeliverable rather than routing over dead links.
+// intervals are over the fault placements. Each panel's rows are the
+// cells of one FailureSweep; the final column reports the fraction of
+// SD pairs left with no surviving shortest path — traffic the repair
+// reports as undeliverable rather than routing over dead links. Both
+// panels' cells, disconn included, run in one cell pool.
 func Failures(sc Scale, seed int64) *Table {
-	fracs, fseeds := faultFractions(sc), faultSeeds(sc, seed)
+	fseeds := faultSeeds(sc, seed)
 	tbl := &Table{
 		Title:  "Failure sweep: average maximum link load vs failed cable fraction (permutation traffic, repaired routing)",
 		XLabel: "panel frac",
+		Footnote: fmt.Sprintf("99%% CI over %d fault placements per fraction; disconn = fraction of SD pairs with no surviving shortest path",
+			len(fseeds)),
 	}
+	var jobs []func()
 	for _, p := range []string{"a", "b"} {
 		t, err := Fig4Panel(p)
 		if err != nil {
 			panic(err)
 		}
-		sweep := FailureSweep(t, sc, seed)
-		disconn := make([]Cell, len(fracs))
-		runCells(sc.Ctx, len(fracs), sc.Workers, func(fi int) {
-			disconn[fi] = disconnectedCell(t, fracs[fi], fseeds)
-		})
+		sweep, cell := failureCells(t, sc, seed)
 		tbl.Columns = append(sweep.Columns, "disconn")
-		for fi := range fracs {
+		for fi, frac := range faultFractions(sc) {
+			row := make([]Cell, len(tbl.Columns))
 			tbl.XValues = append(tbl.XValues, p+" "+sweep.XValues[fi])
-			tbl.Cells = append(tbl.Cells, append(sweep.Cells[fi], disconn[fi]))
+			tbl.Cells = append(tbl.Cells, row)
+			for col := range sweep.Columns {
+				jobs = append(jobs, func() { row[col] = cell(fi, col) })
+			}
+			jobs = append(jobs, func() { row[len(row)-1] = disconnectedCell(t, frac, fseeds) })
 		}
 	}
-	tbl.Footnote = fmt.Sprintf("99%% CI over %d fault placements per fraction; disconn = fraction of SD pairs with no surviving shortest path",
-		len(fseeds))
+	runCells(sc.Ctx, len(jobs), sc.Workers, func(i int) { jobs[i]() })
 	return tbl
 }
 
 // FailureSweep is the single-topology failure sweep: one panel of
 // Failures, and the failure phase of the benchmarks.
 func FailureSweep(t *topology.Topology, sc Scale, seed int64) *Table {
-	schemes := failureSchemes
-	fracs := faultFractions(sc)
-	fseeds := faultSeeds(sc, seed)
+	tbl, cell := failureCells(t, sc, seed)
+	cols := len(tbl.Columns)
+	runCells(sc.Ctx, len(tbl.Cells)*cols, sc.Workers, func(x int) {
+		tbl.Cells[x/cols][x%cols] = cell(x/cols, x%cols)
+	})
+	return tbl
+}
+
+// failureCells lays out the failure sweep on t: the table, one row per
+// fault fraction and one column per failureSchemes entry with its
+// cells still zero, and the function that measures the cell at
+// fraction fi, scheme col.
+func failureCells(t *topology.Topology, sc Scale, seed int64) (*Table, func(fi, col int) Cell) {
+	fracs, fseeds := faultFractions(sc), faultSeeds(sc, seed)
 	tbl := &Table{
-		Title:  fmt.Sprintf("Failure sweep: avg max link load vs failed cable fraction, %s", t),
-		XLabel: "frac",
+		Title:    fmt.Sprintf("Failure sweep: avg max link load vs failed cable fraction, %s", t),
+		XLabel:   "frac",
+		Footnote: fmt.Sprintf("99%% CI over %d fault placements per fraction", len(fseeds)),
 	}
-	for _, s := range schemes {
+	for _, s := range failureSchemes {
 		name := s.sel.Name()
 		if s.sel.MultiPath() {
 			name = fmt.Sprintf("%s K=%d", name, s.k)
 		}
 		tbl.Columns = append(tbl.Columns, name)
 	}
-	cells := make([][]Cell, len(fracs))
-	for i := range cells {
-		cells[i] = make([]Cell, len(schemes))
+	for _, frac := range fracs {
+		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%g%%", frac*100))
+		tbl.Cells = append(tbl.Cells, make([]Cell, len(failureSchemes)))
 	}
 	// One failure base per scheme column: the healthy compile and its
 	// delta repairer are fault-independent, so every fraction's cell
 	// patches against the same base instead of recompiling. Built
 	// lazily under sync.Once so the first cell of a column pays for it
 	// whichever worker gets there first.
-	bases := make([]*flow.FailureBase, len(schemes))
-	onces := make([]sync.Once, len(schemes))
-	runCells(sc.Ctx, len(fracs)*len(schemes), sc.Workers, func(x int) {
-		fi, col := x/len(schemes), x%len(schemes)
-		s := schemes[col]
+	bases := make([]*flow.FailureBase, len(failureSchemes))
+	onces := make([]sync.Once, len(failureSchemes))
+	return tbl, func(fi, col int) Cell {
+		s := failureSchemes[col]
 		x0 := flow.FailureExperiment{
 			Topo:       t,
 			Sel:        s.sel,
@@ -126,14 +141,8 @@ func FailureSweep(t *topology.Topology, sc Scale, seed int64) *Table {
 		onces[col].Do(func() { bases[col] = x0.NewBase() })
 		x0.Base = bases[col]
 		res := x0.Run()
-		cells[fi][col] = Cell{Mean: res.Acc.Mean(), HalfWidth: res.HalfWidth, Samples: res.Acc.N()}
-	})
-	for fi, frac := range fracs {
-		tbl.XValues = append(tbl.XValues, fmt.Sprintf("%g%%", frac*100))
-		tbl.Cells = append(tbl.Cells, cells[fi])
+		return Cell{Mean: res.Acc.Mean(), HalfWidth: res.HalfWidth, Samples: res.Acc.N()}
 	}
-	tbl.Footnote = fmt.Sprintf("99%% CI over %d fault placements per fraction", len(fseeds))
-	return tbl
 }
 
 // disconnectedCell measures the disconnected-pair fraction across the
