@@ -412,6 +412,36 @@ func BenchmarkFlitEngine(b *testing.B) {
 	b.ReportMetric(2500*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
+// BenchmarkFlitEngineSaturated measures the flit-level simulator past
+// saturation: at load 0.9 the fabric accepts about 0.77, so every
+// source builds a backlog over the 20k-cycle window, and B/op shows
+// what that backlog costs to hold.
+func BenchmarkFlitEngineSaturated(b *testing.B) {
+	t := benchTopo()
+	pattern := traffic.NewPermutationPattern("bench",
+		traffic.RandomDerangementish(t.NumProcessors(), rand.New(rand.NewSource(4))))
+	cfg := flit.Config{
+		Routing:       core.NewRouting(t, core.Disjoint{}, 4, 0),
+		Pattern:       pattern,
+		OfferedLoad:   0.9,
+		WarmupCycles:  2000,
+		MeasureCycles: 20000,
+		Seed:          5,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := flit.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Saturated {
+			b.Fatalf("throughput %.3f at load 0.9: not saturated", res.Throughput)
+		}
+	}
+	b.ReportMetric(22000*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+}
+
 // BenchmarkLFTBuild measures forwarding-table synthesis.
 func BenchmarkLFTBuild(b *testing.B) {
 	t := benchTopo()

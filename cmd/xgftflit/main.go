@@ -33,8 +33,8 @@ func main() {
 }
 
 // realMain runs the command and returns its exit status: 2 for a usage
-// error (a bad flag, topology or scheme), 1 for a failed run, 130 for
-// an interrupted one.
+// error (a bad flag, topology, scheme, workload, path policy, selector
+// or VC scheme), 1 for a failed run, 130 for an interrupted one.
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xgftflit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -65,15 +65,37 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
-	if err != nil {
+	// Every flag value is resolved before the run record exists, so a
+	// bad one is a usage error that writes no manifest.
+	usage := func(err error) int {
 		fmt.Fprintln(stderr, "xgftflit:", err)
 		return 2
 	}
+	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
+	if err != nil {
+		return usage(err)
+	}
 	sel, err := core.SelectorByName(*scheme)
 	if err != nil {
-		fmt.Fprintln(stderr, "xgftflit:", err)
-		return 2
+		return usage(err)
+	}
+	pattern, err := buildPattern(t, *workload, *arg, *seed)
+	if err != nil {
+		return usage(err)
+	}
+	pp, err := flit.ParsePathPolicy(*policy)
+	if err != nil {
+		return usage(err)
+	}
+	var outSel flit.OutputSelector
+	if *selector != "" {
+		if outSel, err = flit.ParseOutputSelector(*selector); err != nil {
+			return usage(err)
+		}
+	}
+	vcSch, err := flit.ParseVCScheme(*vcScheme)
+	if err != nil {
+		return usage(err)
 	}
 
 	run := cliutil.NewRun("xgftflit", fs, *out, prof, stderr)
@@ -84,26 +106,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	stop := run.WatchInterrupt()
 	defer stop()
 
-	pattern, err := buildPattern(t, *workload, *arg, *seed)
-	if err != nil {
-		return run.Finish(1, err)
-	}
-	pp := flit.RoundRobin
-	if *policy == "random" {
-		pp = flit.RandomPath
-	} else if *policy != "round-robin" {
-		return run.Finish(1, fmt.Errorf("unknown path policy %q", *policy))
-	}
-	var outSel flit.OutputSelector
-	if *selector != "" {
-		if outSel, err = flit.ParseOutputSelector(*selector); err != nil {
-			return run.Finish(1, err)
-		}
-	}
-	vcSch, err := flit.ParseVCScheme(*vcScheme)
-	if err != nil {
-		return run.Finish(1, err)
-	}
 	base := flit.Config{
 		Routing:           core.NewRouting(t, sel, *k, *seed),
 		Pattern:           pattern,

@@ -36,8 +36,8 @@ func TestUnknownFlag(t *testing.T) {
 	}
 }
 
-// TestRealMainExitCodes: usage errors (a bad flag, topology or scheme)
-// exit 2 before any work or manifest.
+// TestRealMainExitCodes: usage errors (a bad flag, topology, scheme or
+// flag value) exit 2 before any work or manifest.
 func TestRealMainExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -48,6 +48,10 @@ func TestRealMainExitCodes(t *testing.T) {
 		{"bad -mport", []string{"-mport", "7", "-ntree", "2"}},
 		{"unknown -scheme", []string{"-xgft", "2;4,4;1,4", "-scheme", "nope"}},
 		{"unknown flag", []string{"-xgft", "2;4,4;1,4", "-bogus"}},
+		{"unknown -workload", []string{"-xgft", "2;4,4;1,4", "-workload", "bogus"}},
+		{"unknown -policy", []string{"-xgft", "2;4,4;1,4", "-policy", "bogus"}},
+		{"unknown -selector", []string{"-xgft", "2;4,4;1,4", "-selector", "bogus"}},
+		{"unknown -vcscheme", []string{"-xgft", "2;4,4;1,4", "-vcscheme", "bogus"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

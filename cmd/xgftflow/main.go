@@ -32,8 +32,8 @@ func main() {
 }
 
 // realMain runs the command and returns its exit status: 2 for a usage
-// error (a bad flag, topology or scheme), 1 for a failed run, 130 for
-// an interrupted one.
+// error (a bad flag, topology, scheme or pattern), 1 for a failed run,
+// 130 for an interrupted one.
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xgftflow", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -42,7 +42,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	ntree := fs.Int("ntree", 0, "tree height for -mport")
 	scheme := fs.String("scheme", "disjoint", "routing scheme ("+strings.Join(core.SelectorNames(), ", ")+")")
 	k := fs.Int("k", 4, "path limit K")
-	pattern := fs.String("pattern", "permutations", "permutations | shift | bitcomp | bitrev | transpose | tornado | neighbor | butterfly | uniform | hotspot | adversarial | random")
+	pattern := fs.String("pattern", "permutations", "permutations | "+strings.Join(traffic.PatternNames(), " | "))
 	arg := fs.Int("arg", 1, "pattern argument (shift amount, hotspot node)")
 	seed := fs.Int64("seed", 2012, "base seed")
 	samples := fs.Int("samples", 100, "initial samples for the permutation study")
@@ -55,15 +55,26 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
-	if err != nil {
+	usage := func(err error) int {
 		fmt.Fprintln(stderr, "xgftflow:", err)
 		return 2
 	}
+	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
+	if err != nil {
+		return usage(err)
+	}
 	sel, err := core.SelectorByName(*scheme)
 	if err != nil {
-		fmt.Fprintln(stderr, "xgftflow:", err)
-		return 2
+		return usage(err)
+	}
+	// A named pattern is built before the run record exists, so an
+	// unknown name, or one that does not fit the fabric, is a usage
+	// error that writes no manifest.
+	var tm *traffic.Matrix
+	if *pattern != "permutations" {
+		if tm, err = traffic.BuildMatrix(t, *pattern, *arg, *seed); err != nil {
+			return usage(err)
+		}
 	}
 
 	run := cliutil.NewRun("xgftflow", fs, *out, prof, stderr)
@@ -97,10 +108,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return run.Finish(0, nil)
 	}
 
-	tm, err := traffic.BuildMatrix(t, *pattern, *arg, *seed)
-	if err != nil {
-		return run.Finish(1, err)
-	}
 	ev := flow.NewEvaluator(r)
 	mload := ev.MaxLoad(tm)
 	oload := flow.OptimalLoad(t, tm)

@@ -11,8 +11,8 @@ import (
 	"xgftsim/internal/obs"
 )
 
-// TestRealMainExitCodes: usage errors (a bad flag, topology or scheme)
-// exit 2 before any work or manifest.
+// TestRealMainExitCodes: usage errors (a bad flag, topology, scheme or
+// pattern) exit 2 before any work or manifest.
 func TestRealMainExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -24,6 +24,8 @@ func TestRealMainExitCodes(t *testing.T) {
 		{"bad -mport", []string{"-mport", "7", "-ntree", "2"}, 2},
 		{"unknown -scheme", []string{"-mport", "8", "-ntree", "2", "-scheme", "nope"}, 2},
 		{"unknown flag", []string{"-mport", "8", "-ntree", "2", "-bogus"}, 2},
+		{"unknown -pattern", []string{"-mport", "8", "-ntree", "2", "-pattern", "bogus"}, 2},
+		{"-pattern unfit for the fabric", []string{"-xgft", "2;4,6;1,4", "-pattern", "transpose"}, 2},
 		{"removed -compile", []string{"-mport", "8", "-ntree", "2", "-compile", "block"}, 2},
 		{"removed -table-cache", []string{"-mport", "8", "-ntree", "2", "-table-cache", t.TempDir()}, 2},
 		{"removed -segment-bytes", []string{"-mport", "8", "-ntree", "2", "-segment-bytes", "4096"}, 2},

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,55 +24,76 @@ import (
 )
 
 func main() {
-	spec := flag.String("xgft", "", `topology as "h;m1,..,mh;w1,..,wh"`)
-	mport := flag.Int("mport", 0, "build an m-port n-tree (with -ntree)")
-	ntree := flag.Int("ntree", 0, "tree height for -mport")
-	src := flag.Int("src", -1, "source processing node for path listing")
-	dst := flag.Int("dst", -1, "destination processing node for path listing")
-	scheme := flag.String("scheme", "disjoint", "routing scheme for path listing ("+strings.Join(core.SelectorNames(), ", ")+")")
-	k := flag.Int("k", 4, "path limit K for path listing")
-	seed := flag.Int64("seed", 0, "seed for randomized schemes")
-	draw := flag.Bool("draw", false, "render the topology level by level (paper Figures 1-3 style)")
-	budget := flag.Int64("table-budget", core.DefaultTableBudget, "resident routing-table byte budget for the regime prediction")
-	segBytes := flag.Int64("segment-bytes", 0, "block-mode segment size for the regime prediction (0: default)")
-	flag.Parse()
-
-	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
-	if err != nil {
-		fatal(err)
-	}
-	summarize(t)
-	if err := tableRegime(t, *scheme, *k, *seed, *budget, *segBytes); err != nil {
-		fatal(err)
-	}
-	if *draw {
-		fmt.Println()
-		t.Draw(os.Stdout, 16)
-	}
-	if *src >= 0 && *dst >= 0 {
-		if err := listPaths(t, *src, *dst, *scheme, *k, *seed); err != nil {
-			fatal(err)
-		}
-	}
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func summarize(t *topology.Topology) {
-	fmt.Printf("%s\n", t)
-	fmt.Printf("  processing nodes: %d\n", t.NumProcessors())
-	fmt.Printf("  switches:         %d (top level: %d)\n", t.NumSwitches(), t.NumTopSwitches())
-	for l := 0; l < t.H(); l++ {
-		fmt.Printf("  tier %d-%d cables:  %d\n", l, l+1, t.CablesAtTier(l))
+// realMain runs the command and returns its exit status: 0, or 2 for a
+// usage error (a bad flag, topology, scheme or node pair), reported
+// before anything is printed.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xgftinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec := fs.String("xgft", "", `topology as "h;m1,..,mh;w1,..,wh"`)
+	mport := fs.Int("mport", 0, "build an m-port n-tree (with -ntree)")
+	ntree := fs.Int("ntree", 0, "tree height for -mport")
+	src := fs.Int("src", -1, "source processing node for path listing")
+	dst := fs.Int("dst", -1, "destination processing node for path listing")
+	scheme := fs.String("scheme", "disjoint", "routing scheme for path listing ("+strings.Join(core.SelectorNames(), ", ")+")")
+	k := fs.Int("k", 4, "path limit K for path listing")
+	seed := fs.Int64("seed", 0, "seed for randomized schemes")
+	draw := fs.Bool("draw", false, "render the topology level by level (paper Figures 1-3 style)")
+	budget := fs.Int64("table-budget", core.DefaultTableBudget, "resident routing-table byte budget for the regime prediction")
+	segBytes := fs.Int64("segment-bytes", 0, "block-mode segment size for the regime prediction (0: default)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	fmt.Printf("  diameter: %d hops, avg shortest path %.2f hops\n", t.Diameter(), t.AvgShortestPathLen())
-	fmt.Printf("  max oversubscription: %.2f (ideal uniform throughput %.3f)\n",
+
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "xgftinfo:", err)
+		return 2
+	}
+	t, err := cliutil.BuildTopology(*spec, *mport, *ntree)
+	if err != nil {
+		return usage(err)
+	}
+	sel, err := core.SelectorByName(*scheme)
+	if err != nil {
+		return usage(err)
+	}
+	list := *src >= 0 && *dst >= 0
+	if n := t.NumProcessors(); list && (*src >= n || *dst >= n) {
+		return usage(fmt.Errorf("pair (%d,%d) out of range [0,%d)", *src, *dst, n))
+	}
+	r := core.NewRouting(t, sel, *k, *seed)
+	summarize(stdout, t)
+	tableRegime(stdout, r, *budget, *segBytes)
+	if *draw {
+		fmt.Fprintln(stdout)
+		t.Draw(stdout, 16)
+	}
+	if list {
+		listPaths(stdout, r, *src, *dst)
+	}
+	return 0
+}
+
+func summarize(w io.Writer, t *topology.Topology) {
+	fmt.Fprintf(w, "%s\n", t)
+	fmt.Fprintf(w, "  processing nodes: %d\n", t.NumProcessors())
+	fmt.Fprintf(w, "  switches:         %d (top level: %d)\n", t.NumSwitches(), t.NumTopSwitches())
+	for l := 0; l < t.H(); l++ {
+		fmt.Fprintf(w, "  tier %d-%d cables:  %d\n", l, l+1, t.CablesAtTier(l))
+	}
+	fmt.Fprintf(w, "  diameter: %d hops, avg shortest path %.2f hops\n", t.Diameter(), t.AvgShortestPathLen())
+	fmt.Fprintf(w, "  max oversubscription: %.2f (ideal uniform throughput %.3f)\n",
 		t.MaxOversubscription(), t.IdealUniformThroughput())
 	cost := t.Cost()
-	fmt.Printf("  cost: %d switches, %d switch ports, %d cables\n", cost.Switches, cost.SwitchPorts, cost.Cables)
-	fmt.Printf("  max shortest paths between nodes: %d\n", t.MaxPaths())
+	fmt.Fprintf(w, "  cost: %d switches, %d switch ports, %d cables\n", cost.Switches, cost.SwitchPorts, cost.Cables)
+	fmt.Fprintf(w, "  max shortest paths between nodes: %d\n", t.MaxPaths())
 	if maxK := lid.MaxRealizableK(t); maxK < t.MaxPaths() {
-		fmt.Printf("  InfiniBand-addressable path limit: K <= %d (of %d)\n", maxK, t.MaxPaths())
+		fmt.Fprintf(w, "  InfiniBand-addressable path limit: K <= %d (of %d)\n", maxK, t.MaxPaths())
 	} else {
-		fmt.Printf("  InfiniBand can address all %d paths per pair\n", t.MaxPaths())
+		fmt.Fprintf(w, "  InfiniBand can address all %d paths per pair\n", t.MaxPaths())
 	}
 }
 
@@ -81,28 +103,23 @@ func summarize(t *topology.Topology) {
 // mega's out-of-core block mode streams segments for generic selectors
 // and builds no table at all for closed-form ones. Flow experiments
 // also stay lazy on fabrics wider than the default sample cap.
-func tableRegime(t *topology.Topology, scheme string, k int, seed, budget, segBytes int64) error {
-	sel, err := core.SelectorByName(scheme)
-	if err != nil {
-		return err
-	}
-	r := core.NewRouting(t, sel, k, seed)
+func tableRegime(w io.Writer, r *core.Routing, budget, segBytes int64) {
+	sel, t := r.Selector(), r.Topology()
 	est := core.CompiledBytes(r)
-	fmt.Printf("  compiled routing table (%s, K=%d): %s estimated\n", sel.Name(), k, byteSize(est))
+	fmt.Fprintf(w, "  compiled routing table (%s, K=%d): %s estimated\n", sel.Name(), r.K(), byteSize(est))
 	if est <= budget {
-		fmt.Printf("  fits table budget %s: full-compile regime\n", byteSize(budget))
+		fmt.Fprintf(w, "  fits table budget %s: full-compile regime\n", byteSize(budget))
 	} else if core.ClosedForm(sel) {
-		fmt.Printf("  exceeds table budget %s: table-free (closed-form selector): no table is built in block mode\n", byteSize(budget))
+		fmt.Fprintf(w, "  exceeds table budget %s: table-free (closed-form selector): no table is built in block mode\n", byteSize(budget))
 	} else {
 		blockSrcs, numSegments, seg := core.PlanBlocks(r, segBytes)
-		fmt.Printf("  exceeds table budget %s: block regime (%d segments x %s, %d sources each)\n",
+		fmt.Fprintf(w, "  exceeds table budget %s: block regime (%d segments x %s, %d sources each)\n",
 			byteSize(budget), numSegments, byteSize(seg), blockSrcs)
 	}
 	if limit := (stats.AdaptiveConfig{}).WithDefaults().MaxSamples; t.NumProcessors() > limit {
-		fmt.Printf("  note: flow experiments evaluate lazily here (%d nodes > %d-sample cap); out-of-core block mode is xgftpaper -exp mega\n",
+		fmt.Fprintf(w, "  note: flow experiments evaluate lazily here (%d nodes > %d-sample cap); out-of-core block mode is xgftpaper -exp mega\n",
 			t.NumProcessors(), limit)
 	}
-	return nil
 }
 
 // byteSize renders a byte count in the closest binary unit.
@@ -118,22 +135,16 @@ func byteSize(b int64) string {
 	return fmt.Sprintf("%d B", b)
 }
 
-func listPaths(t *topology.Topology, src, dst int, scheme string, k int, seed int64) error {
-	n := t.NumProcessors()
-	if src >= n || dst >= n {
-		return fmt.Errorf("pair (%d,%d) out of range [0,%d)", src, dst, n)
-	}
-	sel, err := core.SelectorByName(scheme)
-	if err != nil {
-		return err
-	}
+// listPaths prints the pair's nearest common ancestor and the paths r
+// selects for it, as node labels; the caller has range-checked the pair.
+func listPaths(w io.Writer, r *core.Routing, src, dst int) {
+	t := r.Topology()
 	nca := t.NCALevel(src, dst)
-	fmt.Printf("\npair (%d -> %d): NCA level %d, %d shortest paths\n", src, dst, nca, t.NumPathsBetween(src, dst))
+	fmt.Fprintf(w, "\npair (%d -> %d): NCA level %d, %d shortest paths\n", src, dst, nca, t.NumPathsBetween(src, dst))
 	if src == dst {
-		return nil
+		return
 	}
-	r := core.NewRouting(t, sel, k, seed)
-	fmt.Printf("%s selects:\n", r)
+	fmt.Fprintf(w, "%s selects:\n", r)
 	for _, idx := range r.Paths(src, dst) {
 		up := core.DecodePathIndex(t, nca, idx, nil)
 		nodes := t.PathNodes(src, dst, up)
@@ -141,12 +152,6 @@ func listPaths(t *topology.Topology, src, dst int, scheme string, k int, seed in
 		for i, nd := range nodes {
 			labels[i] = t.LabelOf(nd).String()
 		}
-		fmt.Printf("  path %3d (up ports %v): %s\n", idx, up, strings.Join(labels, " -> "))
+		fmt.Fprintf(w, "  path %3d (up ports %v): %s\n", idx, up, strings.Join(labels, " -> "))
 	}
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xgftinfo:", err)
-	os.Exit(1)
 }

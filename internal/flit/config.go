@@ -55,6 +55,17 @@ func (p PathPolicy) String() string {
 	return fmt.Sprintf("PathPolicy(%d)", int(p))
 }
 
+// ParsePathPolicy resolves a path policy name as printed by String.
+func ParsePathPolicy(name string) (PathPolicy, error) {
+	switch name {
+	case "round-robin":
+		return RoundRobin, nil
+	case "random":
+		return RandomPath, nil
+	}
+	return 0, fmt.Errorf("flit: unknown path policy %q (want round-robin or random)", name)
+}
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// Routing supplies topology and per-pair path sets.

@@ -30,10 +30,23 @@ import (
 // determinism. Only Poisson injection events, whose horizon is
 // unbounded, live in a small binary heap. Packets are arena-allocated
 // and referenced by index, keeping events pointer-free.
+//
+// A source's backlog is a FIFO of messages, not packets: a message
+// holds what its packets share (route or path set, destination, VC),
+// and its head packet is built only when it wins a first-link slot.
+// Every random draw of a message (destination, route, VC) still happens
+// at injection, so the run is unchanged, but the packet arena is
+// bounded by what the fabric's buffers hold rather than by the backlog
+// a saturated source accumulates over the window.
 
 type message struct {
 	genTime     int64
-	packetsLeft int
+	route       []int      // oblivious: the source route all its packets take
+	paths       *pathEntry // adaptive-K: the pair's compiled paths
+	dst         int32
+	packetsLeft int32 // packets not yet delivered or discarded
+	unsent      int32 // packets still in the source's injection queue
+	vc          int8
 	measured    bool
 	dropped     bool // a packet was discarded as permanently unroutable
 }
@@ -146,10 +159,16 @@ type engine struct {
 
 	// Packet and message arenas. Messages are referenced by index so a
 	// steady-state injection reuses a freed slot instead of allocating.
+	// headPkt is the scratch in which drainInjection builds a message's
+	// next packet before it knows whether the packet can leave. It is
+	// built for message headMsg and kept across blocked retries; headMsg
+	// is -1 once the packet has left (hop 0 and flits never change).
 	packets []packet
 	freePkt []int32
 	msgs    []message
 	freeMsg []int32
+	headPkt packet
+	headMsg int32
 
 	// Per queue (link*V + vc): output queue state at the sending side.
 	// Queue q is a ring over qBuf[q*B : (q+1)*B] (B = BufferPackets,
@@ -184,8 +203,8 @@ type engine struct {
 
 	// Per node.
 	outLinks    [][]int32 // outgoing directed link per port number
-	injQueue    [][]int32 // node n's backlog is injQueue[n][injHead[n]:]
-	injHead     []int     // both reset to empty when the backlog drains
+	injQueue    [][]int32 // node n's message backlog is injQueue[n][injHead[n]:]
+	injHead     []int     // see pushInjection for how the consumed prefix is reclaimed
 	nextArrival []float64 // fractional Poisson clocks
 	rrVC        []int8    // per-node VC assignment pointer
 
@@ -251,6 +270,8 @@ func newEngine(cfg Config) *engine {
 		vcs:     cfg.VirtualChannels,
 		numProc: t.NumProcessors(),
 		routes:  make(map[int64][][]int),
+		headPkt: packet{flits: cfg.FlitsPerPacket},
+		headMsg: -1,
 	}
 	if nn := e.numProc * e.numProc; nn <= rrDenseLimit {
 		e.rrPathDense = make([]int32, nn)
@@ -586,8 +607,9 @@ func (e *engine) vcFor(node, dst int) int8 {
 	return vc
 }
 
-// injectOne creates one message at node and enqueues its packets,
-// moving as many as fit into the first link's queue.
+// injectOne creates one message at node and appends it to the node's
+// backlog, then moves as many packets as fit into the first link's
+// queue.
 func (e *engine) injectOne(node int, now int64) {
 	dst := e.cfg.Pattern.Dest(node, e.rng)
 	if dst == node {
@@ -595,7 +617,6 @@ func (e *engine) injectOne(node int, now int64) {
 	}
 	var route []int
 	var paths *pathEntry
-	var mask uint64
 	switch e.sel {
 	case SelectOblivious:
 		pair := int64(node)*int64(e.numProc) + int64(dst)
@@ -615,57 +636,81 @@ func (e *engine) injectOne(node int, now int64) {
 			e.msgsUnroutable++
 			return
 		}
-		mask = fullMask(len(paths.idxs))
 	}
 	vc := e.vcFor(node, dst)
 	measured := now >= e.warmEnd && now < e.endTime
+	k := int32(e.cfg.PacketsPerMessage)
 	msg := e.allocMessage(message{
 		genTime:     now,
-		packetsLeft: e.cfg.PacketsPerMessage,
+		route:       route,
+		paths:       paths,
+		dst:         int32(dst),
+		packetsLeft: k,
+		unsent:      k,
+		vc:          vc,
 		measured:    measured,
 	})
 	if measured {
 		e.msgsGen++
 	}
-	for i := 0; i < e.cfg.PacketsPerMessage; i++ {
-		idx := e.allocPacket(packet{
-			msg:   msg,
-			route: route,
-			paths: paths,
-			mask:  mask,
-			dst:   int32(dst),
-			vc:    vc,
-			flits: e.cfg.FlitsPerPacket,
-		})
-		e.injQueue[node] = append(e.injQueue[node], idx)
-		e.pktsInFlight++
-	}
+	e.pktsInFlight += int64(k)
+	e.pushInjection(node, msg)
 	e.drainInjection(node, now)
 }
 
-// drainInjection moves injection-queue packets into their first link
-// queue while slots are available. Every movement goes through the
-// configured hop selector; a hopDead packet (its forced first link is
-// down) is discarded so it cannot wedge the queue behind it.
+// pushInjection appends message msg to node's backlog. A saturated
+// source rarely drains to empty, so before the slice would grow it
+// reclaims the consumed prefix once that is at least half the slice:
+// the capacity then tracks the live backlog (at most about four times
+// its peak) and each message is copied O(1) times amortized.
+func (e *engine) pushInjection(node int, msg int32) {
+	q, h := e.injQueue[node], e.injHead[node]
+	if len(q) == cap(q) && 2*h >= len(q) {
+		q = q[:copy(q, q[h:])]
+		e.injHead[node] = 0
+	}
+	e.injQueue[node] = append(q, msg)
+}
+
+// drainInjection moves backlog packets into their first link queue
+// while slots are available. The head message's next packet is built in
+// headPkt and takes an arena slot only once it leaves. headMsg never
+// names a freed (and possibly reused) message slot: a message is freed
+// only after its last packet has left, which resets headMsg. Every
+// movement goes through the configured hop selector; a hopDead packet
+// (its forced first link is down) is discarded so it cannot wedge the
+// queue behind it.
 func (e *engine) drainInjection(node int, now int64) {
 	for e.injHead[node] < len(e.injQueue[node]) {
 		q, h := e.injQueue[node], e.injHead[node]
-		idx := q[h]
-		p := &e.packets[idx]
+		mi := q[h]
+		m := &e.msgs[mi]
+		p := &e.headPkt
+		if e.headMsg != mi {
+			e.headMsg = mi
+			p.msg, p.route, p.paths, p.dst, p.vc = mi, m.route, m.paths, m.dst, m.vc
+			if m.paths != nil {
+				p.mask = fullMask(len(m.paths.idxs))
+			}
+		}
 		c := e.hop.next(e, topology.NodeID(node), p, 0, p.vc)
 		if c.status == hopBlocked {
 			return
 		}
-		if h+1 == len(q) {
-			e.injQueue[node], e.injHead[node] = q[:0], 0
-		} else {
-			e.injHead[node] = h + 1
+		e.headMsg = -1
+		if m.unsent--; m.unsent == 0 {
+			if h+1 == len(q) {
+				e.injQueue[node], e.injHead[node] = q[:0], 0
+			} else {
+				e.injHead[node] = h + 1
+			}
 		}
 		if c.status == hopDead {
-			e.discard(idx, c.dead)
+			e.dropPacket(mi, c.dead)
 			continue
 		}
 		e.hop.commit(e, topology.NodeID(node), p, c)
+		idx := e.allocPacket(*p)
 		qi := e.qid(c.link, p.vc)
 		e.occ[qi]++
 		e.enqueue(qi, c.link, idx)
@@ -673,28 +718,39 @@ func (e *engine) drainInjection(node int, now int64) {
 	}
 }
 
-// discard releases a permanently-unroutable packet: its message is
-// accounted once in MsgsUnroutable, and the first drop of the run
-// records a diagnosis naming the dead link for Result.WedgeDiagnosis.
-func (e *engine) discard(idx int32, dead int32) {
-	p := &e.packets[idx]
+// dropPacket accounts one permanently-unroutable packet of message mi:
+// the message counts once in MsgsUnroutable, and the first drop of the
+// run records a diagnosis naming the dead link for
+// Result.WedgeDiagnosis.
+func (e *engine) dropPacket(mi int32, dead int32) {
 	e.pktsInFlight--
-	m := &e.msgs[p.msg]
+	m := &e.msgs[mi]
 	if !m.dropped {
 		m.dropped = true
 		e.msgsUnroutable++
 		if e.unroutableDiag == "" && dead >= 0 {
 			e.unroutableDiag = fmt.Sprintf("messages for node %d dropped as unroutable: %s",
-				p.dst, e.failedLinkWhy(dead, "is their forced next link"))
+				m.dst, e.failedLinkWhy(dead, "is their forced next link"))
 		}
 	}
 	m.packetsLeft--
 	if m.packetsLeft == 0 {
-		e.freeMsg = append(e.freeMsg, p.msg)
+		e.freeMessage(mi)
 	}
-	p.msg = -1
-	p.route = nil
-	p.paths = nil
+}
+
+// freeMessage returns a finished message's slot, dropping its
+// references to the shared route tables.
+func (e *engine) freeMessage(mi int32) {
+	m := &e.msgs[mi]
+	m.route, m.paths = nil, nil
+	e.freeMsg = append(e.freeMsg, mi)
+}
+
+// freePacket returns a delivered or discarded packet's slot.
+func (e *engine) freePacket(idx int32) {
+	p := &e.packets[idx]
+	p.msg, p.route, p.paths = -1, nil, nil
 	e.freePkt = append(e.freePkt, idx)
 }
 
@@ -736,7 +792,8 @@ func (e *engine) tryStart(l int32, now int64) {
 				// also re-arms this link and unblocks upstream feeders.
 				e.dequeue(q, l)
 				e.schedule(now, now+1, evFree, q, -1)
-				e.discard(idx, c.dead)
+				e.dropPacket(p.msg, c.dead)
+				e.freePacket(idx)
 				return
 			}
 			next = c.link
@@ -823,12 +880,9 @@ func (e *engine) deliver(idx int32, now int64) {
 				e.hist.Observe(d)
 			}
 		}
-		e.freeMsg = append(e.freeMsg, p.msg)
+		e.freeMessage(p.msg)
 	}
-	p.msg = -1
-	p.route = nil
-	p.paths = nil
-	e.freePkt = append(e.freePkt, idx)
+	e.freePacket(idx)
 }
 
 // start primes the simulation: every node's first Poisson injection.
@@ -1000,9 +1054,9 @@ func (e *engine) stallDiagnosis() string {
 	}
 	for n, iq := range e.injQueue {
 		if h := e.injHead[n]; h < len(iq) {
-			p := &e.packets[iq[h]]
-			return fmt.Sprintf("%d packets in flight with no schedulable event; e.g. a packet for node %d stuck in node %d's injection queue",
-				e.pktsInFlight, p.dst, n)
+			m := &e.msgs[iq[h]]
+			return fmt.Sprintf("%d packets in flight with no schedulable event; e.g. a message for node %d (%d packets unsent) stuck in node %d's injection queue",
+				e.pktsInFlight, m.dst, m.unsent, n)
 		}
 	}
 	return fmt.Sprintf("%d packets in flight with no schedulable event and no queued location (accounting violation)", e.pktsInFlight)

@@ -284,6 +284,14 @@ func TestRoundRobinVsRandomPathPolicies(t *testing.T) {
 	if PathPolicy(9).String() == "" {
 		t.Fatal("unknown policy string empty")
 	}
+	for _, p := range []PathPolicy{RoundRobin, RandomPath} {
+		if got, err := ParsePathPolicy(p.String()); err != nil || got != p {
+			t.Fatalf("ParsePathPolicy(%q) = %v, %v", p, got, err)
+		}
+	}
+	if _, err := ParsePathPolicy("bogus"); err == nil {
+		t.Fatal("ParsePathPolicy accepted an unknown name")
+	}
 }
 
 func TestDelayHistogram(t *testing.T) {
